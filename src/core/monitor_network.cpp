@@ -44,17 +44,7 @@ void MonitorNetwork::init_tree_perf() {
   }
 }
 
-int MonitorNetwork::active_monitors_for(
-    const std::vector<simmpi::Rank>& set) const {
-  std::vector<int> nodes;
-  nodes.reserve(set.size());
-  for (const auto rank : set) nodes.push_back(sub_.node_of(rank));
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  return static_cast<int>(nodes.size());
-}
-
-int MonitorNetwork::count_active_nodes(const std::vector<simmpi::Rank>& set) {
+int MonitorNetwork::active_monitors_for(const std::vector<simmpi::Rank>& set) {
   const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
   if (node_mark_.size() != nnodes) node_mark_.assign(nnodes, false);
   active_nodes_.clear();
@@ -75,34 +65,28 @@ void MonitorNetwork::group_set_by_node(const std::vector<simmpi::Rank>& set) {
   const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
   if (node_mark_.size() != nnodes) node_mark_.assign(nnodes, false);
   if (node_count_.size() != nnodes) node_count_.assign(nnodes, 0);
-  if (node_slot_.size() != nnodes) node_slot_.assign(nnodes, 0);
-  active_nodes_.clear();
   for (const auto rank : set) {
     const auto node = static_cast<std::size_t>(sub_.node_of(rank));
-    if (!node_mark_.test(node)) {
-      node_mark_.set(node);
-      active_nodes_.push_back(static_cast<int>(node));
-    }
+    node_mark_.set(node);
     ++node_count_[node];
   }
-  std::sort(active_nodes_.begin(), active_nodes_.end());
-  group_offset_.resize(active_nodes_.size() + 1);
-  group_cursor_.resize(active_nodes_.size());
-  group_offset_[0] = 0;
-  for (std::size_t i = 0; i < active_nodes_.size(); ++i) {
-    const auto node = static_cast<std::size_t>(active_nodes_[i]);
-    node_slot_[node] = static_cast<int>(i);
-    group_offset_[i + 1] = group_offset_[i] + node_count_[node];
-    group_cursor_[i] = group_offset_[i];
-  }
+  // The mark's words hand the active nodes back in ascending order; each
+  // node's count then becomes its scatter cursor into grouped_.
+  active_nodes_.clear();
+  group_offset_.assign(1, 0);
+  node_mark_.for_each_set([this](std::size_t node) {
+    active_nodes_.push_back(static_cast<int>(node));
+    const int begin = group_offset_.back();
+    group_offset_.push_back(begin + node_count_[node]);
+    node_count_[node] = begin;
+  });
   grouped_.resize(set.size());
   for (const auto rank : set) {
-    const auto slot = static_cast<std::size_t>(
-        node_slot_[static_cast<std::size_t>(sub_.node_of(rank))]);
-    grouped_[static_cast<std::size_t>(group_cursor_[slot]++)] = rank;
+    const auto node = static_cast<std::size_t>(sub_.node_of(rank));
+    grouped_[static_cast<std::size_t>(node_count_[node]++)] = rank;
   }
   // Leave only active_nodes_/group_offset_/grouped_ populated: the mark and
-  // the per-node counts go back to zero so the scratch is clean next sample.
+  // the per-node cursors go back to zero so the scratch is clean next sample.
   for (const int node : active_nodes_) {
     node_mark_.reset(static_cast<std::size_t>(node));
     node_count_[static_cast<std::size_t>(node)] = 0;
@@ -110,32 +94,32 @@ void MonitorNetwork::group_set_by_node(const std::vector<simmpi::Rank>& set) {
 }
 
 void MonitorNetwork::collect_carriers(bool alive_only) {
-  carriers_.clear();
   const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
   if (fan_in_.size() != nnodes) fan_in_.assign(nnodes, 0);
+  if (carrier_mark_.size() != nnodes) carrier_mark_.assign(nnodes, false);
+  // Mark each active node and its ancestors by gather rank, stopping at
+  // the first ancestor already marked; the set bits, read in ascending
+  // order, are the carriers in the topology's gather order.
   for (const int node : active_nodes_) {
     if (alive_only && !monitor_alive(node)) continue;
     int at = node;
-    while (!node_mark_.test(static_cast<std::size_t>(at))) {
-      node_mark_.set(static_cast<std::size_t>(at));
-      carriers_.push_back(at);
-      const int parent = topology_.parent(at);
-      if (parent < 0) break;
-      at = parent;
+    while (true) {
+      const auto rank = static_cast<std::size_t>(topology_.gather_rank(at));
+      if (carrier_mark_.test(rank)) break;
+      carrier_mark_.set(rank);
+      at = topology_.parent(at);
+      if (at < 0) break;
     }
   }
-  // Deepest level first, ascending node id within a level: the order the
-  // aggregation (and its RNG draws under a fault plan) proceeds in.
-  std::sort(carriers_.begin(), carriers_.end(), [this](int a, int b) {
-    const int la = topology_.level(a);
-    const int lb = topology_.level(b);
-    if (la != lb) return la > lb;
-    return a < b;
-  });
-  for (const int c : carriers_) {
-    const int parent = topology_.parent(c);
+  carriers_.clear();
+  const std::vector<int>& order = topology_.gather_order();
+  carrier_mark_.for_each_set([&](std::size_t rank) {
+    const int carrier = order[rank];
+    carriers_.push_back(carrier);
+    const int parent = topology_.parent(carrier);
     if (parent >= 0) ++fan_in_[static_cast<std::size_t>(parent)];
-  }
+  });
+  carrier_mark_.clear();
 }
 
 sim::Time MonitorNetwork::tree_gather_latency(int levels, sim::Time now) {
@@ -366,7 +350,7 @@ MonitorNetwork::Measurement MonitorNetwork::measure_healthy(
   }
   measurement.scrout =
       static_cast<double>(out) / static_cast<double>(set.size());
-  measurement.active_monitors = count_active_nodes(set);
+  measurement.active_monitors = active_monitors_for(set);
 
   // Each active monitor (except the lead) sends one 8-byte partial count;
   // a binomial-tree gather bounds the latency.
@@ -558,10 +542,7 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_healthy(
   PS_PERF_ADD(perf_samples_, 1);
   emit_sample_event(measurement, hops, hops * 8);
 
-  for (const int c : carriers_) {
-    node_mark_.reset(static_cast<std::size_t>(c));
-    fan_in_[static_cast<std::size_t>(c)] = 0;
-  }
+  for (const int c : carriers_) fan_in_[static_cast<std::size_t>(c)] = 0;
   return measurement;
 }
 
@@ -700,7 +681,6 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
     }
     for (const int c : carriers_) {
       const auto idx = static_cast<std::size_t>(c);
-      node_mark_.reset(idx);
       fan_in_[idx] = 0;
       agg_monitors_[idx] = 0;
       agg_covered_[idx] = 0;

@@ -98,8 +98,10 @@ class MonitorNetwork {
   bool tool_faults_active() const noexcept { return plan_.has_value(); }
 
   int monitor_count() const noexcept { return sub_.nnodes(); }
-  /// Monitors that would be active for `set` (distinct hosting nodes).
-  int active_monitors_for(const std::vector<simmpi::Rank>& set) const;
+  /// Monitors that would be active for `set` (distinct hosting nodes),
+  /// counted with the pooled node mark (no sort, no allocation once the
+  /// scratch is warm).
+  int active_monitors_for(const std::vector<simmpi::Rank>& set);
   /// Current aggregation root (star: lowest surviving monitor id; tree:
   /// the topology root; -1 = none left). Without a fault plan the lead is
   /// immortal.
@@ -151,17 +153,15 @@ class MonitorNetwork {
                          std::uint64_t bytes);
   void init_perf();
   void init_tree_perf();
-  /// Distinct nodes hosting `set`, via the pooled node mark (no sort, no
-  /// allocation once the scratch is warm).
-  int count_active_nodes(const std::vector<simmpi::Rank>& set);
   /// Group `set` by hosting node into the pooled CSR scratch:
   /// active_nodes_ ascending, grouped_ holding the ranks node by node
   /// (set order within a node), group_offset_[i] the start of node i's
   /// slice. Replaces the per-sample vector-of-vectors.
   void group_set_by_node(const std::vector<simmpi::Rank>& set);
   /// Collect the carriers (active nodes plus their ancestors) for the
-  /// current grouping into carriers_, deepest level first, ascending node
-  /// id within a level; fills fan_in_ for every carrier.
+  /// current grouping into carriers_, in the topology's gather order
+  /// (deepest level first, ascending node id within a level); fills
+  /// fan_in_ for every carrier.
   void collect_carriers(bool alive_only);
   /// Sum of per-level binomial gathers over the carrier fan-ins; also
   /// updates the fan-in high-water marks and emits MonitorLevelEvents.
@@ -200,12 +200,12 @@ class MonitorNetwork {
   // Pooled per-sample scratch (SoA: flat arrays indexed by node, a bitset
   // mark, and one CSR payload — no per-sample heap churn, bits per rank).
   util::DynamicBitset node_mark_;
-  std::vector<int> node_count_;           ///< per-node rank count
-  std::vector<int> node_slot_;            ///< node -> index in active_nodes_
+  util::DynamicBitset carrier_mark_;      ///< carriers by gather rank
+  std::vector<int> node_count_;           ///< per-node rank count / cursor
   std::vector<int> active_nodes_;         ///< sorted distinct hosting nodes
   std::vector<int> group_offset_;         ///< CSR offsets (active_nodes_+1)
   std::vector<simmpi::Rank> grouped_;     ///< set ranks grouped by node
-  std::vector<int> carriers_;             ///< tree carriers, deepest first
+  std::vector<int> carriers_;             ///< tree carriers, gather order
   std::vector<int> fan_in_;               ///< per-node fan-in this sample
   std::vector<int> agg_monitors_;         ///< partials aggregated per node
   std::vector<int> agg_covered_;          ///< covered ranks per node
@@ -213,7 +213,6 @@ class MonitorNetwork {
   std::vector<sim::Time> agg_penalty_;    ///< accumulated wait per node
   std::vector<int> level_max_fan_in_;     ///< per-level gather width
   std::vector<int> level_senders_;        ///< carriers forwarding per level
-  std::vector<int> group_cursor_;         ///< CSR scatter cursors
 
   // Perf mirrors of the counters above, resolved once from the engine's
   // ProfileRegistry (all null when perf accounting is off).

@@ -1,6 +1,7 @@
 #include "core/monitor_topology.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -60,35 +61,67 @@ void MonitorTopology::build(int nodes, const TopologyConfig& config) {
   }
 
   parent_.assign(static_cast<std::size_t>(nodes), -1);
-  level_.assign(static_cast<std::size_t>(nodes), 0);
+  gather_rank_.assign(static_cast<std::size_t>(nodes), 0);  // levels, for now
   children_.assign(static_cast<std::size_t>(nodes), {});
-  removed_.assign(static_cast<std::size_t>(nodes), false);
   root_ = place[0];
-  std::vector<int> pos_level(static_cast<std::size_t>(nodes), 0);
   for (std::size_t p = 1; p < place.size(); ++p) {
-    const std::size_t parent_pos = (p - 1) / fanout;
-    pos_level[p] = pos_level[parent_pos] + 1;
-    parent_[static_cast<std::size_t>(place[p])] = place[parent_pos];
-    level_[static_cast<std::size_t>(place[p])] = pos_level[p];
-    children_[static_cast<std::size_t>(place[parent_pos])].push_back(place[p]);
+    const auto node = static_cast<std::size_t>(place[p]);
+    const auto parent = static_cast<std::size_t>(place[(p - 1) / fanout]);
+    parent_[node] = static_cast<int>(parent);
+    gather_rank_[node] = gather_rank_[parent] + 1;
+    children_[parent].push_back(place[p]);
   }
   for (auto& kids : children_) std::sort(kids.begin(), kids.end());
+  order_by_level();
 }
 
-int MonitorTopology::max_level() const {
-  int deepest = -1;
-  for (std::size_t node = 0; node < level_.size(); ++node) {
-    if (!removed_[node]) deepest = std::max(deepest, level_[node]);
+void MonitorTopology::order_by_level() {
+  std::vector<int> cursor;  // nodes per level, then the next free position
+  for (const int level : gather_rank_) {
+    if (level < 0) continue;
+    if (static_cast<std::size_t>(level) >= cursor.size()) {
+      cursor.resize(static_cast<std::size_t>(level) + 1, 0);
+    }
+    ++cursor[static_cast<std::size_t>(level)];
   }
-  return deepest;
+  // Deepest level first: level L starts after every deeper level.
+  level_first_.resize(cursor.size());
+  int next = 0;
+  for (std::size_t level = cursor.size(); level-- > 0;) {
+    level_first_[level] = next;
+    next += cursor[level];
+    cursor[level] = level_first_[level];
+  }
+  // Ascending node id within a level falls out of visiting ids in order.
+  gather_order_.resize(static_cast<std::size_t>(next));
+  for (std::size_t node = 0; node < gather_rank_.size(); ++node) {
+    const int level = gather_rank_[node];
+    if (level < 0) continue;
+    const int rank = cursor[static_cast<std::size_t>(level)]++;
+    gather_order_[static_cast<std::size_t>(rank)] = static_cast<int>(node);
+    gather_rank_[node] = rank;
+  }
+}
+
+int MonitorTopology::level(int node) const {
+  // level_first_ falls as the level rises: the node's level is the first
+  // whose range starts at or before its rank.
+  const auto it = std::lower_bound(level_first_.begin(), level_first_.end(),
+                                   gather_rank(node), std::greater<>());
+  return static_cast<int>(it - level_first_.begin());
 }
 
 MonitorTopology::Removal MonitorTopology::remove(int node) {
   PS_CHECK(built(), "topology not built");
   PS_CHECK(node >= 0 && node < nodes(), "remove: node out of range");
   const auto idx = static_cast<std::size_t>(node);
-  PS_CHECK(!removed_[idx], "remove: node already removed");
-  removed_[idx] = true;
+  PS_CHECK(!removed(node), "remove: node already removed");
+  // Hold levels in gather_rank_ while the shape changes (level(n) reads
+  // only n's own rank); order_by_level() re-ranks the survivors at the end.
+  for (int n = 0; n < nodes(); ++n) {
+    if (!removed(n)) gather_rank_[static_cast<std::size_t>(n)] = level(n);
+  }
+  gather_rank_[idx] = -1;
 
   Removal result;
   const int old_parent = parent_[idx];
@@ -107,6 +140,7 @@ MonitorTopology::Removal MonitorTopology::remove(int node) {
       result.new_root = -1;
       root_ = -1;
     }
+    order_by_level();
     return result;
   }
 
@@ -133,21 +167,22 @@ MonitorTopology::Removal MonitorTopology::remove(int node) {
 
   // The promotee climbed one level; recompute levels across its subtree
   // (rare — once per interior crash — so a simple BFS is fine).
-  level_[promoted_idx] = old_parent < 0
-                             ? 0
-                             : level_[static_cast<std::size_t>(old_parent)] + 1;
+  auto& levels = gather_rank_;
+  levels[promoted_idx] =
+      old_parent < 0 ? 0 : levels[static_cast<std::size_t>(old_parent)] + 1;
   std::vector<int> frontier{promoted};
   while (!frontier.empty()) {
     std::vector<int> next;
     for (const int at : frontier) {
       for (const int child : children_[static_cast<std::size_t>(at)]) {
-        level_[static_cast<std::size_t>(child)] =
-            level_[static_cast<std::size_t>(at)] + 1;
+        levels[static_cast<std::size_t>(child)] =
+            levels[static_cast<std::size_t>(at)] + 1;
         next.push_back(child);
       }
     }
     frontier = std::move(next);
   }
+  order_by_level();
 
   if (node == root_) {
     result.root_changed = true;

@@ -57,20 +57,32 @@ class MonitorTopology {
   int root() const noexcept { return root_; }
   /// Parent monitor id (-1 for the root).
   int parent(int node) const { return parent_[static_cast<std::size_t>(node)]; }
-  /// Distance from the root (root = 0).
-  int level(int node) const { return level_[static_cast<std::size_t>(node)]; }
-  /// Children in ascending id order (the deterministic gather order).
+  /// Distance from the root (root = 0) of a surviving monitor.
+  int level(int node) const;
+  /// Children in ascending id order.
   const std::vector<int>& children(int node) const {
     return children_[static_cast<std::size_t>(node)];
   }
-  bool removed(int node) const {
-    return removed_[static_cast<std::size_t>(node)];
-  }
+  bool removed(int node) const { return gather_rank(node) < 0; }
   /// Fanout actually used (>= config.fanout when a depth cap widened it).
   int effective_fanout() const noexcept { return effective_fanout_; }
   /// Deepest level over the surviving monitors (0 when only a root
   /// remains, -1 when the tree is empty).
-  int max_level() const;
+  int max_level() const noexcept {
+    return static_cast<int>(level_first_.size()) - 1;
+  }
+
+  /// The surviving monitors in gather order: deepest level first,
+  /// ascending id within a level. A tree sample aggregates (and draws its
+  /// per-hop faults) in this order. It is a property of the shape, so it
+  /// is kept here and rebuilt only when remove() re-levels the tree.
+  const std::vector<int>& gather_order() const noexcept {
+    return gather_order_;
+  }
+  /// Position of `node` in gather_order() (-1 once removed).
+  int gather_rank(int node) const {
+    return gather_rank_[static_cast<std::size_t>(node)];
+  }
 
   struct Removal {
     /// Child promoted into the removed node's position (-1: it was a leaf).
@@ -87,10 +99,15 @@ class MonitorTopology {
   Removal remove(int node);
 
  private:
+  /// Turn the per-node levels held in gather_rank_ (-1 = removed) into
+  /// gather ranks, gather_order_ and level_first_: one counting pass.
+  void order_by_level();
+
   std::vector<int> parent_;
   std::vector<std::vector<int>> children_;
-  std::vector<int> level_;
-  std::vector<bool> removed_;
+  std::vector<int> gather_rank_;   ///< node -> gather position (-1 = removed)
+  std::vector<int> gather_order_;  ///< gather position -> node
+  std::vector<int> level_first_;   ///< level -> its first gather position
   int root_ = -1;
   int effective_fanout_ = 0;
 };

@@ -182,6 +182,118 @@ TEST(MonitorTopology, RemovingEverythingEmptiesTheTree) {
   EXPECT_EQ(t.max_level(), -1);
 }
 
+// --- Gather order ------------------------------------------------------------
+
+/// Distance to the root counted along the parent links alone, independent
+/// of the topology's own level bookkeeping.
+int hops_to_root(const MonitorTopology& t, int node) {
+  int hops = 0;
+  for (int at = t.parent(node); at >= 0; at = t.parent(at)) ++hops;
+  return hops;
+}
+
+/// The gather order must be exactly what sorting the survivors by (level
+/// descending, id ascending) gives, and the rank maps must be inverses.
+void expect_gather_order(const MonitorTopology& t) {
+  std::vector<int> expected;
+  for (int n = 0; n < t.nodes(); ++n) {
+    if (!t.removed(n)) expected.push_back(n);
+  }
+  std::sort(expected.begin(), expected.end(), [&](int a, int b) {
+    const int la = hops_to_root(t, a);
+    const int lb = hops_to_root(t, b);
+    if (la != lb) return la > lb;
+    return a < b;
+  });
+  EXPECT_EQ(t.gather_order(), expected);
+  const auto& order = t.gather_order();
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    EXPECT_EQ(t.gather_rank(order[rank]), static_cast<int>(rank));
+  }
+  int deepest = -1;
+  for (int n = 0; n < t.nodes(); ++n) {
+    if (t.removed(n)) {
+      EXPECT_EQ(t.gather_rank(n), -1);
+      continue;
+    }
+    const int rank = t.gather_rank(n);
+    ASSERT_GE(rank, 0);
+    ASSERT_LT(rank, static_cast<int>(order.size()));
+    EXPECT_EQ(order[static_cast<std::size_t>(rank)], n);
+    EXPECT_EQ(t.level(n), hops_to_root(t, n));
+    deepest = std::max(deepest, hops_to_root(t, n));
+  }
+  EXPECT_EQ(t.max_level(), deepest);
+}
+
+/// Lowest-id surviving monitor that is neither the root nor a leaf.
+int first_interior(const MonitorTopology& t) {
+  for (int n = 0; n < t.nodes(); ++n) {
+    if (!t.removed(n) && n != t.root() && !t.children(n).empty()) return n;
+  }
+  return -1;
+}
+
+TEST(MonitorTopology, GatherOrderFollowsEveryRemovalSequence) {
+  const struct {
+    const char* name;
+    int nodes;
+    TopologyConfig config;
+  } trees[] = {
+      {"identity", 40, tree_config(3)},
+      {"seeded", 200, tree_config(4, 0, 77)},
+      {"depth-capped", 100, tree_config(2, 2, 9)},
+  };
+  enum class Sequence { kLeaf, kInterior, kRoot, kCascade };
+  for (const auto& tree : trees) {
+    for (const Sequence sequence : {Sequence::kLeaf, Sequence::kInterior,
+                                    Sequence::kRoot, Sequence::kCascade}) {
+      SCOPED_TRACE(testing::Message() << tree.name << " sequence "
+                                      << static_cast<int>(sequence));
+      MonitorTopology t;
+      t.build(tree.nodes, tree.config);
+      expect_gather_order(t);
+      switch (sequence) {
+        case Sequence::kLeaf: {
+          const int leaf = t.gather_order().front();  // deepest level
+          ASSERT_TRUE(t.children(leaf).empty());
+          t.remove(leaf);
+          expect_gather_order(t);
+          break;
+        }
+        case Sequence::kInterior: {
+          const int interior = first_interior(t);
+          ASSERT_GE(interior, 0);
+          EXPECT_GE(t.remove(interior).promoted, 0);
+          expect_gather_order(t);
+          break;
+        }
+        case Sequence::kRoot: {
+          EXPECT_TRUE(t.remove(t.root()).root_changed);
+          expect_gather_order(t);
+          break;
+        }
+        case Sequence::kCascade: {
+          // An interior node, then each promotee in turn, then drain the
+          // tree root by root down to nothing.
+          int next = first_interior(t);
+          ASSERT_GE(next, 0);
+          while (next >= 0) {
+            next = t.remove(next).promoted;
+            expect_gather_order(t);
+          }
+          while (t.root() >= 0) {
+            t.remove(t.root());
+            expect_gather_order(t);
+          }
+          EXPECT_TRUE(t.gather_order().empty());
+          break;
+        }
+      }
+    }
+  }
+}
+
 TEST(MonitorTopologyDeath, StarConfigRejected) {
   MonitorTopology t;
   EXPECT_DEATH(t.build(4, TopologyConfig{}), "fanout > 0");

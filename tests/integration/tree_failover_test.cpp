@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "core/monitor_network.hpp"
 #include "harness/runner.hpp"
 #include "obs/journal.hpp"
+#include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace parastack {
@@ -215,6 +218,92 @@ TEST(TreeFailoverDeath, ArmingAfterSamplingRejected) {
   core::MonitorNetwork network(world, inspector);
   network.measure({0});
   EXPECT_DEATH(network.set_topology(fanout2()), "before the first sample");
+}
+
+// --- Draw-order pin across crash-time re-ordering -------------------------
+
+/// A machine that is only arithmetic (node_of is a division, a rank's MPI
+/// state a hash of rank and sample epoch) over a clock the test advances,
+/// so crashes land mid-run at exact instants.
+class PinSubstrate final : public core::MonitorSubstrate {
+ public:
+  int nranks() const override { return 4096; }
+  int nnodes() const override { return 256; }
+  int node_of(simmpi::Rank rank) const override {
+    return static_cast<int>(rank) / 16;
+  }
+  sim::Engine& engine() override { return engine_; }
+  sim::Time network_latency() const override { return 5 * sim::kMicrosecond; }
+  bool trace_out_mpi(simmpi::Rank rank) override {
+    std::uint64_t state = (static_cast<std::uint64_t>(rank) << 24) ^ epoch_;
+    return util::splitmix64(state) < UINT64_C(0x4CCCCCCCCCCCCCCC);  // 0.3
+  }
+  void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
+
+ private:
+  std::uint64_t epoch_ = 0;
+  sim::Engine engine_;
+};
+
+void mix(std::uint64_t& digest, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {  // FNV-1a, one byte at a time
+    digest ^= (value >> (8 * byte)) & 0xFF;
+    digest *= UINT64_C(0x100000001B3);
+  }
+}
+
+TEST(TreeFailover, LossyCrashRunKeepsItsDrawOrder) {
+  // Every hop's loss/retry/delay draw follows the carrier gather order
+  // (deepest level first, ascending id within a level). An interior crash
+  // and a root crash re-level whole subtrees mid-run; the digest of every
+  // sample pins the order the draws happen in before and after each
+  // re-ordering. The constant was recorded with the per-sample sort that
+  // the topology's stored gather order replaced.
+  PinSubstrate substrate;
+  core::MonitorNetwork network(substrate);
+  core::TopologyConfig topology;
+  topology.fanout = 4;
+  topology.seed = 0x5EED;
+  network.set_topology(topology);
+  const core::MonitorTopology* tree = network.topology();
+  ASSERT_NE(tree, nullptr);
+  const int interior = tree->children(tree->root()).front();
+  ASSERT_FALSE(tree->children(interior).empty());
+
+  faults::ToolFaultPlan plan;
+  plan.loss_probability = 0.08;
+  plan.delay_mean = sim::from_millis(2);
+  plan.monitor_crashes.push_back(
+      {.monitor = interior, .at = 70 * sim::kSecond});
+  plan.lead_crash_at = 140 * sim::kSecond;
+  plan.seed = 0xC0FFEE;
+  network.set_tool_faults(plan);
+
+  util::Rng pick(0xFACADE);
+  std::uint64_t digest = UINT64_C(0xCBF29CE484222325);
+  std::vector<simmpi::Rank> set;
+  for (int sample = 0; sample < 240; ++sample) {
+    substrate.engine().run_until(static_cast<sim::Time>(sample + 1) *
+                                 sim::kSecond);
+    substrate.set_epoch(static_cast<std::uint64_t>(sample));
+    set.clear();
+    for (int i = 0; i < 96; ++i) {
+      set.push_back(static_cast<simmpi::Rank>(pick.uniform_int(4096)));
+    }
+    const auto m = network.measure(set);
+    mix(digest, std::bit_cast<std::uint64_t>(m.scrout));
+    mix(digest, std::bit_cast<std::uint64_t>(m.coverage));
+    mix(digest, static_cast<std::uint64_t>(m.retries));
+    mix(digest, static_cast<std::uint64_t>(m.partials_missing));
+    mix(digest, static_cast<std::uint64_t>(m.aggregation_latency));
+    mix(digest, static_cast<std::uint64_t>(m.levels));
+    mix(digest, static_cast<std::uint64_t>(m.root_fan_in));
+  }
+  EXPECT_EQ(network.subtree_failovers(), 1u);
+  EXPECT_EQ(network.lead_failovers(), 1u);
+  EXPECT_GT(network.retransmissions(), 0u);
+  EXPECT_GT(network.partials_lost(), 0u);
+  EXPECT_EQ(digest, UINT64_C(0xB62BCE2EA625D58C)) << std::hex << digest;
 }
 
 // --- End-to-end through run_one() ------------------------------------------
