@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,20 +87,76 @@ inline void write_metrics_dump() {
   metrics_registry().write_json(out);
 }
 
-/// Scan argv for `--jobs N` / `--jobs=N` and `--metrics-out FILE` /
-/// `--metrics-out=FILE`. Every bench binary calls this first thing in
+/// A flag a bench binary parses itself; parse_jobs only has to let it by.
+struct OwnFlag {
+  const char* name;  ///< e.g. "--out"
+  bool takes_value = false;  ///< `NAME VALUE` or `NAME=VALUE`
+};
+
+/// Print the usage line shared by every bench binary to `out`.
+inline void print_usage(std::FILE* out, const char* argv0,
+                        std::initializer_list<OwnFlag> own) {
+  std::fprintf(out, "usage: %s [--jobs N] [--metrics-out FILE]", argv0);
+  for (const OwnFlag& flag : own) {
+    std::fprintf(out, flag.takes_value ? " [%s VALUE]" : " [%s]", flag.name);
+  }
+  std::fprintf(out,
+               "\n  --jobs N            worker threads (0 = all hardware "
+               "threads; also PARASTACK_BENCH_JOBS)\n"
+               "  --metrics-out FILE  write a metrics JSON document at exit\n"
+               "  PARASTACK_BENCH_SCALE=full runs paper-sized campaigns\n");
+}
+
+/// Parse argv: `--jobs N` / `--jobs=N`, `--metrics-out FILE` /
+/// `--metrics-out=FILE`, and the binary's own flags `own`, which are left
+/// for the binary to read. Every bench binary calls this first thing in
 /// main() so the whole suite takes both flags uniformly; the metrics dump
-/// happens automatically at process exit.
-inline void parse_jobs(int argc, char** argv) {
+/// happens automatically at process exit. `--help`/`-h` prints usage and
+/// exits 0; any other argument (a typo such as `--job 2`) prints usage and
+/// exits 2 before a campaign starts.
+inline void parse_jobs(int argc, char** argv,
+                       std::initializer_list<OwnFlag> own = {}) {
+  // The value of `flag` when argv[i] is `flag VALUE` (consuming it) or
+  // `flag=VALUE`; null when argv[i] is another argument.
+  auto value_of = [&](int& i, const char* flag) -> const char* {
+    const std::size_t n = std::strlen(flag);
+    if (std::strncmp(argv[i], flag, n) != 0) return nullptr;
+    if (argv[i][n] == '=') return argv[i] + n + 1;
+    if (argv[i][n] != '\0') return nullptr;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s: %s needs a value\n", argv[0], flag);
+      print_usage(stderr, argv[0], own);
+      std::exit(2);
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs_override() = std::atoi(argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs_override() = std::atoi(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out_path() = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out_path() = argv[i] + 14;
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      print_usage(stdout, argv[0], own);
+      std::exit(0);
+    }
+    if (const char* v = value_of(i, "--jobs")) {
+      jobs_override() = std::atoi(v);
+      continue;
+    }
+    if (const char* v = value_of(i, "--metrics-out")) {
+      metrics_out_path() = v;
+      continue;
+    }
+    bool known = false;
+    for (const OwnFlag& flag : own) {
+      if (flag.takes_value) {
+        known = value_of(i, flag.name) != nullptr;
+      } else {
+        known = std::strcmp(argv[i], flag.name) == 0;
+      }
+      if (known) break;
+    }
+    if (!known) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+      print_usage(stderr, argv[0], own);
+      std::exit(2);
     }
   }
   if (!metrics_out_path().empty()) {

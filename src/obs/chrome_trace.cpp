@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace parastack::obs {
 
 namespace {
@@ -18,35 +20,6 @@ void append_ts(std::string& out, sim::Time t) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(t) / 1e3);
   out += buf;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-/// Escape externally-provided text (function names, bench names) for use
-/// inside a JSON string literal. Identifiers never need it, but a hostile
-/// name must not corrupt the document.
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 const char* span_category(RankSpanEvent::Kind kind) {
@@ -88,7 +61,7 @@ void ChromeTraceWriter::counter(sim::Time t, const char* name, double value) {
   ev += "\",\"ts\":";
   append_ts(ev, t);
   ev += ",\"args\":{\"value\":";
-  append_number(ev, value);
+  json_number(ev, value);
   ev += "}}";
 }
 
@@ -99,11 +72,11 @@ void ChromeTraceWriter::on_run_start(const RunStartEvent& e) {
     char head[96];
     std::snprintf(head, sizeof head,
                   "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\","
-                  "\"args\":{\"name\":\"",
+                  "\"args\":{\"name\":",
                   pid, tid, what);
     ev += head;
-    append_escaped(ev, name);
-    ev += "\"}}";
+    json_string(ev, name);
+    ev += "}}";
   };
   metadata(kJobPid, 0, "process_name",
            std::string(e.bench) + "(" + std::string(e.input) + ") x " +
@@ -124,9 +97,9 @@ void ChromeTraceWriter::on_rank_span(const RankSpanEvent& e) {
   ev += std::to_string(e.rank);
   ev += ",\"cat\":\"";
   ev += span_category(e.kind);
-  ev += "\",\"name\":\"";
-  append_escaped(ev, e.func);
-  ev += "\",\"ts\":";
+  ev += "\",\"name\":";
+  json_string(ev, e.func);
+  ev += ",\"ts\":";
   append_ts(ev, e.begin);
   ev += ",\"dur\":";
   append_ts(ev, std::max<sim::Time>(e.end - e.begin, 1));
@@ -136,9 +109,9 @@ void ChromeTraceWriter::on_rank_span(const RankSpanEvent& e) {
 void ChromeTraceWriter::on_detection_span(const DetectionSpanEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"cat\":\"detection-latency\","
-        "\"name\":\"";
-  append_escaped(ev, e.span);
-  ev += "\",\"ts\":";
+        "\"name\":";
+  json_string(ev, e.span);
+  ev += ",\"ts\":";
   append_ts(ev, e.begin);
   ev += ",\"dur\":";
   append_ts(ev, std::max<sim::Time>(e.end - e.begin, 1));

@@ -1,9 +1,5 @@
 #include "obs/journal.hpp"
 
-#include <sstream>
-
-#include "obs/json.hpp"
-
 namespace parastack::obs {
 
 namespace {
@@ -39,10 +35,17 @@ const char* span_kind_name(RankSpanEvent::Kind kind) {
 
 }  // namespace
 
+JsonObject JsonlJournal::open_line(std::string_view ev,
+                                   std::string_view detector) {
+  ++lines_;
+  JsonObject line(out_, line_, "\n");
+  line.field("ev", ev);
+  if (!detector.empty()) line.field("det", detector);
+  return line;
+}
+
 void JsonlJournal::on_sample(const SampleEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "sample");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("sample", e.detector);
   line.field("t_ns", e.time)
       .field("phase", e.phase)
       .field("set", e.active_set)
@@ -60,130 +63,85 @@ void JsonlJournal::on_sample(const SampleEvent& e) {
   if (e.coverage < 1.0 || e.degraded) {
     line.field("coverage", e.coverage).field("degraded", e.degraded);
   }
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_runs_test(const RunsTestEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "runs_test");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("runs_test", e.detector);
   line.field("t_ns", e.time)
       .field("sample_size", e.sample_size)
       .field("runs", e.runs)
       .field("n_pos", e.n_pos)
       .field("n_neg", e.n_neg)
       .field("random", e.random);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_interval(const IntervalEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "interval_doubled");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("interval_doubled", e.detector);
   line.field("t_ns", e.time)
       .field("old_ns", e.old_interval)
       .field("new_ns", e.new_interval)
       .field("doublings", e.doublings)
       .field("capped", e.capped);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_streak(const StreakEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "streak");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("streak", e.detector);
   line.field("t_ns", e.time)
       .field("kind", streak_kind_name(e.kind))
       .field("len", e.length)
       .field("k", e.required)
       .field("reason", e.reason);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_filter(const FilterEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "filter");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("filter", e.detector);
   line.field("t_ns", e.time)
       .field("stage", filter_stage_name(e.stage))
       .field("round", e.round);
   if (!e.evidence.empty()) line.field("evidence", e.evidence);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_sweep(const SweepEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "sweep");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("sweep", e.detector);
   line.field("t_ns", e.time)
       .field("ranks", e.ranks)
       .field("purpose", e.purpose)
       .field("round", e.round);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_hang(const HangEvent& e) {
-  std::ostringstream ranks;
-  ranks << '[';
+  std::string ranks = "[";
   for (std::size_t i = 0; i < e.faulty_ranks.size(); ++i) {
-    if (i > 0) ranks << ',';
-    ranks << e.faulty_ranks[i];
+    if (i > 0) ranks += ',';
+    json_integer(ranks, e.faulty_ranks[i]);
   }
-  ranks << ']';
-  JsonObject line(out_);
-  line.field("ev", "hang");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  ranks += ']';
+  JsonObject line = open_line("hang", e.detector);
   line.field("t_ns", e.time)
       .field("kind", e.computation_error ? "computation" : "communication")
-      .raw("faulty_ranks", ranks.str())
+      .raw("faulty_ranks", ranks)
       .field("streak", e.streak)
       .field("q", e.q)
       .field("k", e.required_streak)
       .field("interval_ns", e.interval);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_slowdown(const SlowdownEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "slowdown");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("slowdown", e.detector);
   line.field("t_ns", e.time)
       .field("rounds", e.rounds);
   if (!e.evidence.empty()) line.field("evidence", e.evidence);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_detection(const DetectionEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "detection");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("detection", e.detector);
   line.field("t_ns", e.time).field("kind", e.kind);
   if (e.silence > 0) line.field("silence_ns", e.silence);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_monitor_sample(const MonitorSampleEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "monitor_sample")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("monitor_sample");
+  line.field("t_ns", e.time)
       .field("ranks_traced", e.ranks_traced)
       .field("active", e.active_monitors)
       .field("monitors", e.monitor_count)
@@ -206,116 +164,78 @@ void JsonlJournal::on_monitor_sample(const MonitorSampleEvent& e) {
         .field("coverage", e.coverage)
         .field("degraded", e.degraded);
   }
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_monitor_level(const MonitorLevelEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "monitor_level")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("monitor_level");
+  line.field("t_ns", e.time)
       .field("level", e.level)
       .field("senders", e.senders)
       .field("max_fan_in", e.max_fan_in)
       .field("latency_ns", e.latency);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_monitor_crash(const MonitorCrashEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "monitor_crash")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("monitor_crash");
+  line.field("t_ns", e.time)
       .field("monitor", e.monitor)
       .field("was_lead", e.was_lead)
       .field("alive", e.alive);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_lead_failover(const LeadFailoverEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "lead_failover")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("lead_failover");
+  line.field("t_ns", e.time)
       .field("from", e.from)
       .field("to", e.to)
       .field("rereg_ns", e.reregistration_latency);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_tree_failover(const TreeFailoverEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "tree_failover")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("tree_failover");
+  line.field("t_ns", e.time)
       .field("failed", e.failed)
       .field("promoted", e.promoted)
       .field("parent", e.parent)
       .field("adopted", e.adopted)
       .field("rereg_ns", e.reregistration_latency);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_sample_timeout(const SampleTimeoutEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "sample_timeout")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("sample_timeout");
+  line.field("t_ns", e.time)
       .field("monitor", e.monitor)
       .field("retries", e.retries)
       .field("recovered", e.recovered);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_degraded_mode(const DegradedModeEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "degraded_mode");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("degraded_mode", e.detector);
   line.field("t_ns", e.time)
       .field("entered", e.entered)
       .field("coverage", e.coverage)
       .field("low_streak", e.consecutive_low);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_phase_change(const PhaseChangeEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "phase_change");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("phase_change", e.detector);
   line.field("t_ns", e.time)
       .field("from", e.from_phase)
       .field("to", e.to_phase)
       .field("resumed", e.resumed)
       .field("aborted_verification", e.aborted_verification);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_fault(const FaultEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "fault")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("fault");
+  line.field("t_ns", e.time)
       .field("type", e.type)
       .field("victim", e.victim);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_run_start(const RunStartEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "run_start")
-      .field("bench", e.bench)
+  JsonObject line = open_line("run_start");
+  line.field("bench", e.bench)
       .field("input", e.input)
       .field("ranks", e.nranks)
       .field("nodes", e.nnodes)
@@ -325,15 +245,11 @@ void JsonlJournal::on_run_start(const RunStartEvent& e) {
       .field("estimated_clean_ns", e.estimated_clean)
       .field("walltime_ns", e.walltime)
       .field("fault", e.fault_planned);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_run_end(const RunEndEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "run_end")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("run_end");
+  line.field("t_ns", e.time)
       .field("run", e.run_index)
       .field("completed", e.completed)
       .field("killed", e.killed)
@@ -345,15 +261,11 @@ void JsonlJournal::on_run_end(const RunEndEvent& e) {
       .field("slowdowns", e.slowdowns)
       .field("model_samples", e.model_samples)
       .field("final_interval_ns", e.final_interval);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_recovery(const RecoveryEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "recovery")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("recovery");
+  line.field("t_ns", e.time)
       .field("policy", e.policy)
       .field("action", e.action)
       .field("attempt", e.attempt)
@@ -363,51 +275,35 @@ void JsonlJournal::on_recovery(const RecoveryEvent& e) {
       .field("next_start_ns", e.next_start)
       .field("run", e.run_index);
   if (!e.detail.empty()) line.field("detail", e.detail);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_fleet_admit(const FleetAdmitEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "fleet_admit")
-      .field("t_ns", e.time)
+  JsonObject line = open_line("fleet_admit");
+  line.field("t_ns", e.time)
       .field("tenant", e.tenant)
       .field("admitted", e.admitted)
       .field("monitors", e.monitors)
       .field("pool_in_use", e.pool_in_use);
   if (e.pool_capacity > 0) line.field("pool_capacity", e.pool_capacity);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_detection_span(const DetectionSpanEvent& e) {
-  JsonObject line(out_);
-  line.field("ev", "det_span");
-  if (!e.detector.empty()) line.field("det", e.detector);
+  JsonObject line = open_line("det_span", e.detector);
   line.field("t_ns", e.time)
       .field("span", e.span)
       .field("begin_ns", e.begin)
       .field("end_ns", e.end)
       .field("run", e.run_index);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 void JsonlJournal::on_rank_span(const RankSpanEvent& e) {
   if (!options_.record_rank_spans) return;
-  JsonObject line(out_);
-  line.field("ev", "rank_span")
-      .field("rank", e.rank)
+  JsonObject line = open_line("rank_span");
+  line.field("rank", e.rank)
       .field("kind", span_kind_name(e.kind))
       .field("func", e.func)
       .field("begin_ns", e.begin)
       .field("end_ns", e.end);
-  line.done();
-  out_ << '\n';
-  ++lines_;
 }
 
 }  // namespace parastack::obs

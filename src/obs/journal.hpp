@@ -1,7 +1,9 @@
 #pragma once
 
 #include <ostream>
+#include <string>
 
+#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace parastack::obs {
@@ -14,6 +16,9 @@ namespace parastack::obs {
 /// Rank spans are journalled only when `record_rank_spans` is set: they
 /// fire per simulated action and would swamp the detector's signal (use the
 /// ChromeTraceWriter for timelines).
+///
+/// Each line is rendered into one reused buffer and handed to the stream
+/// in a single write.
 class JsonlJournal final : public TelemetrySink {
  public:
   struct Options {
@@ -53,8 +58,13 @@ class JsonlJournal final : public TelemetrySink {
   std::uint64_t lines_written() const noexcept { return lines_; }
 
  private:
+  /// Start one line: the "ev" tag, then "det" when the event carries a
+  /// detector label. The line is written when the returned object closes.
+  JsonObject open_line(std::string_view ev, std::string_view detector = {});
+
   std::ostream& out_;
   Options options_;
+  std::string line_;  ///< render buffer, reused for every line
   std::uint64_t lines_ = 0;
 };
 

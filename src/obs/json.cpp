@@ -1,95 +1,116 @@
 #include "obs/json.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 namespace parastack::obs {
 
-void json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+namespace {
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
-void json_number(std::ostream& out, double value) {
+void append_escape(std::string& out, char c) {
+  switch (c) {
+    case '"': out += "\\\""; return;
+    case '\\': out += "\\\\"; return;
+    case '\n': out += "\\n"; return;
+    case '\r': out += "\\r"; return;
+    case '\t': out += "\\t"; return;
+    default: {
+      constexpr char kHex[] = "0123456789abcdef";
+      const auto code = static_cast<unsigned char>(c);
+      out += "\\u00";
+      out += kHex[code >> 4];
+      out += kHex[code & 0xF];
+    }
+  }
+}
+
+}  // namespace
+
+void json_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;  // start of the pending stretch that needs no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (!needs_escape(s[i])) continue;
+    out.append(s, run, i - run);
+    append_escape(out, s[i]);
+    run = i + 1;
+  }
+  out.append(s, run);
+  out += '"';
+}
+
+void json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
-    out << "null";
+    out += "null";
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  out << buf;
+  const auto result = std::to_chars(buf, buf + sizeof buf, value,
+                                    std::chars_format::general, 9);
+  out.append(buf, result.ptr);
 }
 
-void JsonObject::key(std::string_view k) {
-  if (!first_) out_ << ',';
-  first_ = false;
-  json_string(out_, k);
-  out_ << ':';
+void json_key(std::string& out, bool& first, std::string_view name) {
+  if (!first) out += ',';
+  first = false;
+  json_string(out, name);
+  out += ':';
 }
+
+void JsonObject::key(std::string_view k) { json_key(*buffer_, first_, k); }
 
 JsonObject& JsonObject::field(std::string_view k, std::string_view value) {
   key(k);
-  json_string(out_, value);
+  json_string(*buffer_, value);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, bool value) {
   key(k);
-  out_ << (value ? "true" : "false");
+  *buffer_ += value ? "true" : "false";
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, int value) {
   key(k);
-  out_ << value;
+  json_integer(*buffer_, value);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, std::int64_t value) {
   key(k);
-  out_ << value;
+  json_integer(*buffer_, value);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, std::uint64_t value) {
   key(k);
-  out_ << value;
+  json_integer(*buffer_, value);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, double value) {
   key(k);
-  json_number(out_, value);
+  json_number(*buffer_, value);
   return *this;
 }
 
 JsonObject& JsonObject::raw(std::string_view k, std::string_view json) {
   key(k);
-  out_ << json;
+  buffer_->append(json);
   return *this;
 }
 
 void JsonObject::done() {
   if (closed_) return;
   closed_ = true;
-  out_ << '}';
+  buffer_->push_back('}');
+  if (out_ == nullptr) return;
+  buffer_->append(terminator_);
+  out_->write(buffer_->data(), static_cast<std::streamsize>(buffer_->size()));
 }
 
 }  // namespace parastack::obs

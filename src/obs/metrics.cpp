@@ -1,53 +1,66 @@
 #include "obs/metrics.hpp"
 
+#include <utility>
+
 #include "obs/json.hpp"
 #include "sim/time.hpp"
 
 namespace parastack::obs {
 
-std::uint64_t& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
+namespace {
+
+/// The entry named `name`, created from `args` when absent. One tree
+/// search either way; the key string is built only on first use.
+template <typename Map, typename... Args>
+typename Map::mapped_type& find_or_emplace(Map& map, std::string_view name,
+                                           Args&&... args) {
+  auto it = map.lower_bound(name);
+  if (it == map.end() || it->first != name) {
+    it = map.try_emplace(it, std::string(name), std::forward<Args>(args)...);
+  }
+  return it->second;
 }
 
-double& MetricsRegistry::gauge(const std::string& name) {
-  return gauges_[name];
+}  // namespace
+
+std::uint64_t& MetricsRegistry::counter(std::string_view name) {
+  return find_or_emplace(counters_, name);
 }
 
-util::Summary& MetricsRegistry::summary(const std::string& name) {
-  return summaries_[name];
+double& MetricsRegistry::gauge(std::string_view name) {
+  return find_or_emplace(gauges_, name);
 }
 
-util::Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
+util::Summary& MetricsRegistry::summary(std::string_view name) {
+  return find_or_emplace(summaries_, name);
+}
+
+util::Histogram& MetricsRegistry::histogram(std::string_view name, double lo,
                                             double hi, std::size_t buckets) {
-  return histograms_.try_emplace(name, lo, hi, buckets).first->second;
+  return find_or_emplace(histograms_, name, lo, hi, buckets);
 }
 
-Digest& MetricsRegistry::digest(const std::string& name) {
-  return digests_[name];
+Digest& MetricsRegistry::digest(std::string_view name) {
+  return find_or_emplace(digests_, name);
 }
 
-std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
+std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\"counters\":{";
+  std::string doc = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':' << value;
+    json_key(doc, first, name);
+    json_integer(doc, value);
   }
-  out << "},\"digests\":{";
+  doc += "},\"digests\":{";
   first = true;
   for (const auto& [name, d] : digests_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':';
-    JsonObject obj(out);
+    json_key(doc, first, name);
+    JsonObject obj(doc);
     obj.field("count", static_cast<std::uint64_t>(d.count()));
     if (!d.empty()) {
       util::Summary moments;
@@ -59,25 +72,18 @@ void MetricsRegistry::write_json(std::ostream& out) const {
           .field("p95", util::quantile(d.values(), 0.95))
           .field("p99", util::quantile(d.values(), 0.99));
     }
-    obj.done();
   }
-  out << "},\"gauges\":{";
+  doc += "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : gauges_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':';
-    json_number(out, value);
+    json_key(doc, first, name);
+    json_number(doc, value);
   }
-  out << "},\"summaries\":{";
+  doc += "},\"summaries\":{";
   first = true;
   for (const auto& [name, s] : summaries_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':';
-    JsonObject obj(out);
+    json_key(doc, first, name);
+    JsonObject obj(doc);
     obj.field("count", static_cast<std::uint64_t>(s.count()));
     if (!s.empty()) {
       obj.field("mean", s.mean())
@@ -85,27 +91,27 @@ void MetricsRegistry::write_json(std::ostream& out) const {
           .field("min", s.min())
           .field("max", s.max());
     }
-    obj.done();
   }
-  out << "},\"histograms\":{";
+  doc += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ":{\"lo\":";
-    json_number(out, h.bucket_lo(0));
-    out << ",\"hi\":";
-    json_number(out, h.bucket_hi(h.bucket_count() - 1));
-    out << ",\"total\":" << h.total() << ",\"underflow\":" << h.underflow()
-        << ",\"overflow\":" << h.overflow() << ",\"buckets\":[";
+    json_key(doc, first, name);
+    JsonObject obj(doc);
+    obj.field("lo", h.bucket_lo(0))
+        .field("hi", h.bucket_hi(h.bucket_count() - 1))
+        .field("total", static_cast<std::uint64_t>(h.total()))
+        .field("underflow", static_cast<std::uint64_t>(h.underflow()))
+        .field("overflow", static_cast<std::uint64_t>(h.overflow()));
+    std::string buckets = "[";
     for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-      if (b > 0) out << ',';
-      out << h.count(b);
+      if (b > 0) buckets += ',';
+      json_integer(buckets, h.count(b));
     }
-    out << "]}";
+    buckets += ']';
+    obj.raw("buckets", buckets);
   }
-  out << "}}";
+  doc += "}}";
+  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 MetricsSink::MetricsSink(MetricsRegistry& registry) : registry_(registry) {

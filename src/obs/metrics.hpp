@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -30,34 +32,39 @@ class Digest {
 /// Named counters, gauges, streaming summaries, and fixed-bucket histograms
 /// with deterministic JSON export (keys sorted — std::map — and values pure
 /// functions of the seed). Accessors create on first use, so call sites
-/// read like `registry.counter("detector.samples")++`.
+/// read like `registry.counter("detector.samples")++`. Lookups are
+/// transparent: a name that is already registered costs no std::string.
 class MetricsRegistry {
  public:
-  std::uint64_t& counter(const std::string& name);
-  double& gauge(const std::string& name);
-  util::Summary& summary(const std::string& name);
+  std::uint64_t& counter(std::string_view name);
+  double& gauge(std::string_view name);
+  util::Summary& summary(std::string_view name);
   /// The (lo, hi, buckets) shape is fixed by whoever names the histogram
   /// first; later callers get the existing instance.
-  util::Histogram& histogram(const std::string& name, double lo, double hi,
+  util::Histogram& histogram(std::string_view name, double lo, double hi,
                              std::size_t buckets);
-  Digest& digest(const std::string& name);
+  Digest& digest(std::string_view name);
 
-  bool has_counter(const std::string& name) const {
+  bool has_counter(std::string_view name) const {
     return counters_.count(name) != 0;
   }
-  std::uint64_t counter_value(const std::string& name) const;
+  std::uint64_t counter_value(std::string_view name) const;
 
   /// One JSON document: {"counters":{...},"digests":{...},"gauges":{...},
   /// "summaries":{...},"histograms":{...}}. Keys sorted, doubles rendered
-  /// with the fixed json_number format: byte-stable per seed.
+  /// with the fixed json_number format: byte-stable per seed. Rendered in
+  /// memory and written in one call.
   void write_json(std::ostream& out) const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, util::Summary> summaries_;
-  std::map<std::string, util::Histogram> histograms_;
-  std::map<std::string, Digest> digests_;
+  template <typename T>
+  using Named = std::map<std::string, T, std::less<>>;
+
+  Named<std::uint64_t> counters_;
+  Named<double> gauges_;
+  Named<util::Summary> summaries_;
+  Named<util::Histogram> histograms_;
+  Named<Digest> digests_;
 };
 
 /// TelemetrySink that folds the event stream into a MetricsRegistry:

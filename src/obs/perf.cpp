@@ -7,36 +7,31 @@ namespace parastack::obs::perf {
 void ProfileRegistry::write_json(std::ostream& out,
                                  bool include_timers) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  out << '{';
-  out << "\"counters\":{";
+  std::string doc = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':' << c.value();
+    json_key(doc, first, name);
+    json_integer(doc, c.value());
   }
-  out << "},\"high_water\":{";
+  doc += "},\"high_water\":{";
   first = true;
   for (const auto& [name, g] : high_waters_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':' << g.value();
+    json_key(doc, first, name);
+    json_integer(doc, g.value());
   }
-  out << '}';
+  doc += '}';
   if (include_timers) {
-    out << ",\"timers\":{";
+    doc += ",\"timers\":{";
     first = true;
     for (const auto& [name, t] : timers_) {
-      if (!first) out << ',';
-      first = false;
-      json_string(out, name);
-      out << ":{\"ns\":" << t.nanos() << ",\"calls\":" << t.calls() << '}';
+      json_key(doc, first, name);
+      JsonObject timer(doc);
+      timer.field("ns", t.nanos()).field("calls", t.calls());
     }
-    out << '}';
+    doc += '}';
   }
-  out << '}';
+  doc += '}';
+  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 }  // namespace parastack::obs::perf

@@ -1,11 +1,21 @@
 #include "obs/replay.hpp"
 
+#include <cstdint>
+
 namespace parastack::obs {
 
 std::string_view RecordingSink::intern(std::string_view view) {
   if (view.empty()) return {};
-  arena_.emplace_back(view);
-  return arena_.back();
+  const std::uint64_t address = reinterpret_cast<std::uintptr_t>(view.data());
+  std::string_view& slot =
+      recent_[(address * UINT64_C(0x9E3779B97F4A7C15)) >> 58];
+  if (slot == view) return slot;
+  auto it = strings_.lower_bound(view);
+  if (it == strings_.end() || *it != view) {
+    it = strings_.emplace_hint(it, view);
+  }
+  slot = *it;
+  return slot;
 }
 
 void RecordingSink::on_sample(const SampleEvent& e) {

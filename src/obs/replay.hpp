@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <deque>
+#include <functional>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -21,8 +23,9 @@ namespace parastack::obs {
 ///
 /// Event structs carry `std::string_view` fields that may reference
 /// run-local storage (the runner's input string, a platform name); the
-/// recorder deep-copies those into an internal arena so a recording
-/// outlives the run that produced it.
+/// recorder copies each distinct string once into an internal pool so a
+/// recording outlives the run that produced it. Rank spans repeat a few
+/// function names hundreds of thousands of times, so the pool stays tiny.
 class RecordingSink final : public TelemetrySink {
  public:
   /// `wants_rank_spans` must mirror the eventual replay target: producers
@@ -36,6 +39,8 @@ class RecordingSink final : public TelemetrySink {
 
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
+  /// Distinct non-empty strings the recorded events refer to.
+  std::size_t interned_strings() const noexcept { return strings_.size(); }
 
   void on_sample(const SampleEvent& e) override;
   void on_runs_test(const RunsTestEvent& e) override;
@@ -73,11 +78,18 @@ class RecordingSink final : public TelemetrySink {
                    FaultEvent, RunStartEvent, RunEndEvent, RecoveryEvent,
                    FleetAdmitEvent, DetectionSpanEvent, RankSpanEvent>;
 
-  /// Copy `view` into the arena and return a view of the stable copy.
+  /// A view of the pooled copy of `view`, made on first sight.
   std::string_view intern(std::string_view view);
 
   bool wants_rank_spans_;
-  std::deque<std::string> arena_;  ///< deque: stable addresses on growth
+  /// Node-based: an element never moves, so the views stay valid as the
+  /// pool grows. std::less<> looks a string_view up without a copy.
+  std::set<std::string, std::less<>> strings_;
+  /// Pooled views indexed by a hash of the producer's buffer address.
+  /// Producers hand over the same few buffers (function names, labels)
+  /// again and again, so a slot whose text matches skips the tree search;
+  /// the text compare keeps a reused buffer with new contents correct.
+  std::array<std::string_view, 64> recent_{};
   std::vector<Event> events_;
 };
 

@@ -75,6 +75,41 @@ TEST(RecordingSink, SurvivesTheProducersStringsDying) {
   const std::string text = journal_of(&recording);
   EXPECT_NE(text.find("tianhe2"), std::string::npos);
   EXPECT_NE(text.find("compute_hang"), std::string::npos);
+  // A second stream reuses the pooled copies instead of adding more.
+  const std::size_t pooled = recording.interned_strings();
+  EXPECT_EQ(pooled, 4u);
+  emit_stream(recording);
+  EXPECT_EQ(recording.interned_strings(), pooled);
+  EXPECT_EQ(journal_of(&recording), text + text);
+}
+
+TEST(RecordingSink, InternsEachDistinctStringOnce) {
+  // Rank spans repeat a handful of function names; the recorder keeps one
+  // copy of each, whatever the producer's buffers do between events.
+  RecordingSink recording(true);
+  // Same length on purpose: only the text tells them apart.
+  const char* const names[] = {"MPI_Send", "MPI_Recv", "MPI_Wait"};
+  for (int i = 0; i < 10000; ++i) {
+    const std::string func = names[i % 3];  // a fresh buffer every event
+    RankSpanEvent span;
+    span.rank = i % 16;
+    span.func = func;
+    span.begin = i;
+    span.end = i + 1;
+    recording.on_rank_span(span);
+  }
+  EXPECT_EQ(recording.size(), 10000u);
+  EXPECT_EQ(recording.interned_strings(), 3u);
+
+  std::ostringstream out;
+  JsonlJournal journal(out, JsonlJournal::Options{true});
+  recording.replay(journal);
+  EXPECT_EQ(journal.lines_written(), 10000u);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"func\":\"MPI_Wait\",\"begin_ns\":9998,"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"func\":\"MPI_Recv\",\"begin_ns\":9997,"),
+            std::string::npos);
 }
 
 TEST(RecordingSink, ReplayIsRepeatable) {
