@@ -45,110 +45,156 @@ void MonitorNetwork::init_tree_perf() {
 }
 
 int MonitorNetwork::active_monitors_for(const std::vector<simmpi::Rank>& set) {
-  const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
-  if (node_mark_.size() != nnodes) node_mark_.assign(nnodes, false);
-  active_nodes_.clear();
-  for (const auto rank : set) {
-    const auto node = static_cast<std::size_t>(sub_.node_of(rank));
-    if (!node_mark_.test(node)) {
-      node_mark_.set(node);
-      active_nodes_.push_back(static_cast<int>(node));
-    }
-  }
-  for (const int node : active_nodes_) {
-    node_mark_.reset(static_cast<std::size_t>(node));
-  }
-  return static_cast<int>(active_nodes_.size());
+  return static_cast<int>(plan_for(set).active_nodes.size());
 }
 
-void MonitorNetwork::group_set_by_node(const std::vector<simmpi::Rank>& set) {
-  const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
-  if (node_mark_.size() != nnodes) node_mark_.assign(nnodes, false);
-  if (node_count_.size() != nnodes) node_count_.assign(nnodes, 0);
-  for (const auto rank : set) {
-    const auto node = static_cast<std::size_t>(sub_.node_of(rank));
-    node_mark_.set(node);
-    ++node_count_[node];
-  }
-  // The mark's words hand the active nodes back in ascending order; each
-  // node's count then becomes its scatter cursor into grouped_.
-  active_nodes_.clear();
-  group_offset_.assign(1, 0);
-  node_mark_.for_each_set([this](std::size_t node) {
-    active_nodes_.push_back(static_cast<int>(node));
-    const int begin = group_offset_.back();
-    group_offset_.push_back(begin + node_count_[node]);
-    node_count_[node] = begin;
-  });
-  grouped_.resize(set.size());
-  for (const auto rank : set) {
-    const auto node = static_cast<std::size_t>(sub_.node_of(rank));
-    grouped_[static_cast<std::size_t>(node_count_[node]++)] = rank;
-  }
-  // Leave only active_nodes_/group_offset_/grouped_ populated: the mark and
-  // the per-node cursors go back to zero so the scratch is clean next sample.
-  for (const int node : active_nodes_) {
-    node_mark_.reset(static_cast<std::size_t>(node));
-    node_count_[static_cast<std::size_t>(node)] = 0;
-  }
-}
-
-void MonitorNetwork::collect_carriers(bool alive_only) {
-  const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
-  if (fan_in_.size() != nnodes) fan_in_.assign(nnodes, 0);
-  if (carrier_mark_.size() != nnodes) carrier_mark_.assign(nnodes, false);
-  // Mark each active node and its ancestors by gather rank, stopping at
-  // the first ancestor already marked; the set bits, read in ascending
-  // order, are the carriers in the topology's gather order.
-  for (const int node : active_nodes_) {
-    if (alive_only && !monitor_alive(node)) continue;
-    int at = node;
-    while (true) {
-      const auto rank = static_cast<std::size_t>(topology_.gather_rank(at));
-      if (carrier_mark_.test(rank)) break;
-      carrier_mark_.set(rank);
-      at = topology_.parent(at);
-      if (at < 0) break;
+const MonitorNetwork::SamplePlan& MonitorNetwork::plan_for(
+    const std::vector<simmpi::Rank>& set) {
+  ++plan_clock_;
+  SamplePlan* oldest = nullptr;
+  for (SamplePlan& plan : plans_) {
+    if (plan.set == set) {
+      plan.last_used = plan_clock_;
+      if (plan.shape_epoch != shape_epoch_) build_plan(plan);
+      return plan;
+    }
+    if (oldest == nullptr || plan.last_used < oldest->last_used) {
+      oldest = &plan;
     }
   }
-  carriers_.clear();
+  if (plans_.size() < kMaxPlans) oldest = &plans_.emplace_back();
+  oldest->set.assign(set.begin(), set.end());
+  oldest->last_used = plan_clock_;
+  build_plan(*oldest);
+  return *oldest;
+}
+
+void MonitorNetwork::build_plan(SamplePlan& plan) {
+  plan.shape_epoch = shape_epoch_;
+  const std::vector<simmpi::Rank>& set = plan.set;
+
+  // Group by hosting node: sorting (node, position) pairs keeps set order
+  // within a node.
+  std::vector<std::pair<int, std::size_t>> by_node;
+  by_node.reserve(set.size());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    by_node.emplace_back(sub_.node_of(set[i]), i);
+  }
+  std::sort(by_node.begin(), by_node.end());
+  plan.active_nodes.clear();
+  plan.group_offset.clear();
+  plan.grouped.clear();
+  for (std::size_t i = 0; i < by_node.size(); ++i) {
+    if (i == 0 || by_node[i].first != by_node[i - 1].first) {
+      plan.active_nodes.push_back(by_node[i].first);
+      plan.group_offset.push_back(static_cast<int>(i));
+    }
+    plan.grouped.push_back(set[by_node[i].second]);
+  }
+  plan.group_offset.push_back(static_cast<int>(set.size()));
+
+  const std::size_t slots = plan.active_nodes.size();
+  plan.slot_carrier.assign(slots, -1);
+  plan.carriers.clear();
+  plan.level_gathers.clear();
+  plan.widest_fan_in = 0;
+  plan.deadline_hits = 0;
+
+  if (!topology_.built()) {
+    // Star: every live active monitor but the lead sends straight to the
+    // lead, in ascending id order; a binomial gather bounds the latency.
+    int alive_active = 0;
+    std::size_t lead_slot = slots;
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      const int node = plan.active_nodes[slot];
+      if (!monitor_alive(node)) continue;
+      ++alive_active;
+      if (node == lead_) {
+        lead_slot = slot;
+        continue;
+      }
+      plan.slot_carrier[slot] = static_cast<int>(plan.carriers.size());
+      plan.carriers.push_back(node);
+    }
+    if (alive_active > 0) {
+      if (lead_slot < slots) {
+        plan.slot_carrier[lead_slot] = static_cast<int>(plan.carriers.size());
+      }
+      plan.carriers.push_back(lead_);
+    }
+    const int ncarriers = static_cast<int>(plan.carriers.size());
+    plan.carrier_parent.assign(plan.carriers.size(), ncarriers - 1);
+    plan.carrier_fan_in.assign(plan.carriers.size(), 0);
+    if (ncarriers > 0) {
+      plan.carrier_parent.back() = -1;
+      plan.carrier_fan_in.back() = ncarriers - 1;
+    }
+    plan.levels = std::bit_width(
+        static_cast<unsigned>(std::max(alive_active - 1, 1)));
+    plan.gather_latency =
+        static_cast<sim::Time>(plan.levels) * sub_.network_latency();
+    return;
+  }
+
+  // Tree: the carriers are the live active monitors and all their
+  // ancestors; their gather ranks, ascending, are the topology's gather
+  // order (deepest level first, ascending id within a level).
+  std::vector<int> ranks;
+  for (const int node : plan.active_nodes) {
+    if (!monitor_alive(node)) continue;
+    for (int at = node; at >= 0; at = topology_.parent(at)) {
+      ranks.push_back(topology_.gather_rank(at));
+    }
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  const auto carrier_of = [&ranks, this](int node) {
+    return static_cast<int>(
+        std::lower_bound(ranks.begin(), ranks.end(),
+                         topology_.gather_rank(node)) -
+        ranks.begin());
+  };
   const std::vector<int>& order = topology_.gather_order();
-  carrier_mark_.for_each_set([&](std::size_t rank) {
-    const int carrier = order[rank];
-    carriers_.push_back(carrier);
-    const int parent = topology_.parent(carrier);
-    if (parent >= 0) ++fan_in_[static_cast<std::size_t>(parent)];
-  });
-  carrier_mark_.clear();
-}
+  for (const int rank : ranks) {
+    plan.carriers.push_back(order[static_cast<std::size_t>(rank)]);
+  }
+  plan.carrier_parent.assign(plan.carriers.size(), -1);
+  plan.carrier_fan_in.assign(plan.carriers.size(), 0);
+  for (std::size_t i = 0; i < plan.carriers.size(); ++i) {
+    const int parent = topology_.parent(plan.carriers[i]);
+    if (parent < 0) continue;
+    const int p = carrier_of(parent);
+    plan.carrier_parent[i] = p;
+    ++plan.carrier_fan_in[static_cast<std::size_t>(p)];
+  }
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const int node = plan.active_nodes[slot];
+    if (monitor_alive(node)) plan.slot_carrier[slot] = carrier_of(node);
+  }
+  plan.levels =
+      plan.carriers.empty() ? 0 : topology_.level(plan.carriers.front());
 
-sim::Time MonitorNetwork::tree_gather_latency(int levels, sim::Time now) {
   // One local round even when everything sits on the root's node — the
   // star charges the same floor (bit_width(1) rounds).
-  if (carriers_.size() <= 1 || levels <= 0) {
-    return sub_.network_latency();
-  }
-  level_max_fan_in_.assign(static_cast<std::size_t>(levels), 0);
-  level_senders_.assign(static_cast<std::size_t>(levels), 0);
-  int widest = 0;
-  for (const int c : carriers_) {
-    const int level = topology_.level(c);
-    const int fan = fan_in_[static_cast<std::size_t>(c)];
-    widest = std::max(widest, fan);
-    if (fan > 0 && level < levels) {
-      auto& slot = level_max_fan_in_[static_cast<std::size_t>(level)];
+  plan.gather_latency = sub_.network_latency();
+  if (plan.carriers.size() <= 1 || plan.levels <= 0) return;
+  const auto levels = static_cast<std::size_t>(plan.levels);
+  std::vector<int> level_max_fan_in(levels, 0);
+  std::vector<int> level_senders(levels, 0);
+  for (std::size_t i = 0; i < plan.carriers.size(); ++i) {
+    const int level = topology_.level(plan.carriers[i]);
+    const int fan = plan.carrier_fan_in[i];
+    plan.widest_fan_in = std::max(plan.widest_fan_in, fan);
+    if (fan > 0 && level < plan.levels) {
+      auto& slot = level_max_fan_in[static_cast<std::size_t>(level)];
       slot = std::max(slot, fan);
     }
-    if (level > 0) ++level_senders_[static_cast<std::size_t>(level - 1)];
+    if (level > 0) ++level_senders[static_cast<std::size_t>(level - 1)];
   }
-  max_fan_in_ = std::max(max_fan_in_, widest);
-  PS_PERF_OBSERVE(perf_fan_in_, static_cast<std::uint64_t>(widest));
-  obs::TelemetrySink* sink = sub_.engine().telemetry();
-  sim::Time total = 0;
-  for (int receiver_level = levels - 1; receiver_level >= 0;
-       --receiver_level) {
-    const int fan = std::max(
-        level_max_fan_in_[static_cast<std::size_t>(receiver_level)], 1);
+  plan.gather_latency = 0;
+  for (int receiver = plan.levels - 1; receiver >= 0; --receiver) {
+    const auto r = static_cast<std::size_t>(receiver);
+    const int fan = std::max(level_max_fan_in[r], 1);
     sim::Time gather =
         static_cast<sim::Time>(std::bit_width(static_cast<unsigned>(fan))) *
         sub_.network_latency();
@@ -159,21 +205,31 @@ sim::Time MonitorNetwork::tree_gather_latency(int levels, sim::Time now) {
     // level), so S_crout is unchanged; only the latency model tightens.
     if (level_deadline_ > 0 && gather > level_deadline_) {
       gather = level_deadline_;
-      ++deadline_hits_;
+      ++plan.deadline_hits;
     }
-    total += gather;
-    if (sink != nullptr) {
-      obs::MonitorLevelEvent event;
-      event.time = now;
-      event.level = receiver_level + 1;
-      event.senders = level_senders_[static_cast<std::size_t>(receiver_level)];
-      event.max_fan_in =
-          level_max_fan_in_[static_cast<std::size_t>(receiver_level)];
-      event.latency = gather;
-      sink->on_monitor_level(event);
-    }
+    plan.gather_latency += gather;
+    plan.level_gathers.push_back(
+        {receiver + 1, level_senders[r], level_max_fan_in[r], gather});
   }
-  return total;
+}
+
+void MonitorNetwork::charge_level_gathers(const SamplePlan& plan,
+                                          sim::Time now) {
+  if (plan.level_gathers.empty()) return;
+  deadline_hits_ += plan.deadline_hits;
+  max_fan_in_ = std::max(max_fan_in_, plan.widest_fan_in);
+  PS_PERF_OBSERVE(perf_fan_in_, static_cast<std::uint64_t>(plan.widest_fan_in));
+  obs::TelemetrySink* sink = sub_.engine().telemetry();
+  if (sink == nullptr) return;
+  for (const SamplePlan::LevelGather& gather : plan.level_gathers) {
+    obs::MonitorLevelEvent event;
+    event.time = now;
+    event.level = gather.level;
+    event.senders = gather.senders;
+    event.max_fan_in = gather.max_fan_in;
+    event.latency = gather.latency;
+    sink->on_monitor_level(event);
+  }
 }
 
 bool MonitorNetwork::monitor_alive(int node) const {
@@ -191,6 +247,7 @@ void MonitorNetwork::set_topology(const TopologyConfig& config) {
   topology_.build(sub_.nnodes(), config);
   level_deadline_ = config.level_deadline;
   lead_ = topology_.root();
+  ++shape_epoch_;
   init_tree_perf();
 }
 
@@ -201,6 +258,7 @@ void MonitorNetwork::set_tool_faults(const faults::ToolFaultPlan& plan) {
   plan_ = plan;
   tool_rng_ = util::Rng(plan.seed);
   dead_.assign(static_cast<std::size_t>(sub_.nnodes()), false);
+  ++shape_epoch_;
   // Resolve random victims now, in plan order, so the crash pattern is a
   // pure function of the plan seed (not of sampling timing). The current
   // root is never a random victim (lead_crash_at targets it explicitly);
@@ -234,6 +292,7 @@ void MonitorNetwork::set_tool_faults(const faults::ToolFaultPlan& plan) {
 void MonitorNetwork::crash_monitor(int node, sim::Time at) {
   if (node < 0 || !monitor_alive(node)) return;  // already dead: no-op
   dead_.set(static_cast<std::size_t>(node));
+  ++shape_epoch_;  // every cached sample plan is stale from here on
   ++crashes_;
   PS_PERF_ADD(perf_crashes_, 1);
   const bool was_lead = node == lead_;
@@ -333,16 +392,15 @@ void MonitorNetwork::advance_tool_state(sim::Time now) {
 MonitorNetwork::Measurement MonitorNetwork::measure(
     const std::vector<simmpi::Rank>& set) {
   PS_CHECK(!set.empty(), "cannot measure an empty monitor set");
-  if (topology_.built()) {
-    return plan_ ? measure_tree_under_faults(set) : measure_tree_healthy(set);
-  }
-  if (!plan_) return measure_healthy(set);
-  return measure_under_faults(set);
+  return plan_ ? measure_under_faults(set) : measure_healthy(set);
 }
 
 MonitorNetwork::Measurement MonitorNetwork::measure_healthy(
     const std::vector<simmpi::Rank>& set) {
   Measurement measurement;
+  // Trace in set order: the star and the tree draw the inspector stream
+  // alike, which is what makes tree-vs-star (faults off) a byte-exact
+  // oracle.
   int out = 0;
   for (const auto rank : set) {
     if (sub_.trace_out_mpi(rank)) ++out;
@@ -350,29 +408,37 @@ MonitorNetwork::Measurement MonitorNetwork::measure_healthy(
   }
   measurement.scrout =
       static_cast<double>(out) / static_cast<double>(set.size());
-  measurement.active_monitors = active_monitors_for(set);
 
-  // Each active monitor (except the lead) sends one 8-byte partial count;
-  // a binomial-tree gather bounds the latency.
-  const auto partials =
-      static_cast<std::uint64_t>(std::max(measurement.active_monitors - 1, 0));
-  messages_ += partials;
-  bytes_ += partials * 8;
-  PS_PERF_ADD(perf_messages_, partials);
-  const int depth = std::bit_width(
-      static_cast<unsigned>(std::max(measurement.active_monitors - 1, 1)));
-  measurement.aggregation_latency =
-      static_cast<sim::Time>(depth) * sub_.network_latency();
-  measurement.levels = depth;
-  measurement.root_fan_in = static_cast<int>(partials);
-  root_messages_ += partials;
-  PS_PERF_ADD(perf_root_messages_, partials);
-  max_fan_in_ = std::max(max_fan_in_, measurement.root_fan_in);
-  PS_PERF_OBSERVE(perf_fan_in_, partials);
+  const SamplePlan& plan = plan_for(set);
+  measurement.active_monitors = static_cast<int>(plan.active_nodes.size());
+  measurement.levels = plan.levels;
+  measurement.aggregation_latency = plan.gather_latency;
+  std::uint64_t messages = 0;
+  if (topology_.built()) {
+    // Every carrier except the root forwards one 8-byte aggregated partial
+    // to its parent — one hop per carrier, fan-in bounded by the topology.
+    messages = plan.carriers.size() - 1;
+    measurement.root_fan_in = plan.carrier_fan_in.back();
+    tree_hops_ += messages;
+    PS_PERF_ADD(perf_tree_hops_, messages);
+    charge_level_gathers(plan, sub_.engine().now());
+  } else {
+    // Each active monitor (except the lead) sends one 8-byte partial count.
+    messages = static_cast<std::uint64_t>(
+        std::max(measurement.active_monitors - 1, 0));
+    measurement.root_fan_in = static_cast<int>(messages);
+    max_fan_in_ = std::max(max_fan_in_, measurement.root_fan_in);
+  }
+  messages_ += messages;
+  bytes_ += messages * 8;
+  root_messages_ += static_cast<std::uint64_t>(measurement.root_fan_in);
   traced_ += static_cast<std::uint64_t>(measurement.ranks_traced);
   ++samples_;
+  PS_PERF_ADD(perf_messages_, messages);
+  PS_PERF_ADD(perf_root_messages_,
+              static_cast<std::uint64_t>(measurement.root_fan_in));
   PS_PERF_ADD(perf_samples_, 1);
-  emit_sample_event(measurement, partials, partials * 8);
+  emit_sample_event(measurement, messages, messages * 8);
   return measurement;
 }
 
@@ -380,196 +446,18 @@ MonitorNetwork::Measurement MonitorNetwork::measure_under_faults(
     const std::vector<simmpi::Rank>& set) {
   const sim::Time now = sub_.engine().now();
   advance_tool_state(now);
+  const SamplePlan& plan = plan_for(set);
 
   Measurement measurement;
   measurement.coverage = 0.0;
-
-  // Group the set by hosting node, in ascending node order (the order the
-  // lead polls partials in — also the RNG draw order, so the loss pattern
-  // is a pure function of the plan seed and the sample sequence).
-  group_set_by_node(set);
-  measurement.active_monitors = static_cast<int>(active_nodes_.size());
+  measurement.active_monitors = static_cast<int>(plan.active_nodes.size());
+  measurement.levels = plan.levels;
 
   std::uint64_t sample_messages = 0;
-  sim::Time worst_penalty = 0;
   int covered = 0;
   int out_covered = 0;
-  int alive_active = 0;
-  int senders = 0;
 
   if (lead_ < 0) {
-    // Every monitor is dead: nobody traces, nothing is aggregated.
-    measurement.partials_missing = measurement.active_monitors;
-    measurement.degraded = true;
-  } else {
-    for (std::size_t slot = 0; slot < active_nodes_.size(); ++slot) {
-      const int node = active_nodes_[slot];
-      if (!monitor_alive(node)) {
-        ++measurement.partials_missing;  // this monitor's partial never comes
-        continue;
-      }
-      ++alive_active;
-      // The local monitor traces its targets (ptrace cost is charged even
-      // when the resulting count is later lost in flight).
-      int node_out = 0;
-      const int begin = group_offset_[slot];
-      const int end = group_offset_[slot + 1];
-      for (int i = begin; i < end; ++i) {
-        if (sub_.trace_out_mpi(grouped_[static_cast<std::size_t>(i)])) {
-          ++node_out;
-        }
-        ++measurement.ranks_traced;
-      }
-      const int node_ranks = end - begin;
-      if (node == lead_) {
-        // The lead counts its own ranks locally; no message involved.
-        covered += node_ranks;
-        out_covered += node_out;
-        continue;
-      }
-      // One 8-byte partial count to the lead; lost messages are re-requested
-      // after `sample_timeout` with exponentially growing backoff.
-      ++senders;
-      ++sample_messages;
-      bool delivered = !tool_rng_.bernoulli(plan_->loss_probability);
-      int attempts_retried = 0;
-      sim::Time penalty = 0;
-      while (!delivered && attempts_retried < plan_->max_retries) {
-        ++attempts_retried;
-        ++sample_messages;
-        penalty += plan_->sample_timeout +
-                   (plan_->retry_backoff << (attempts_retried - 1));
-        delivered = !tool_rng_.bernoulli(plan_->loss_probability);
-      }
-      if (delivered && plan_->delay_mean > 0) {
-        penalty += static_cast<sim::Time>(
-            tool_rng_.exponential(static_cast<double>(plan_->delay_mean)));
-      }
-      if (!delivered) {
-        penalty += plan_->sample_timeout;  // the lead's final wait
-        ++measurement.partials_missing;
-        ++lost_;
-        PS_PERF_ADD(perf_lost_, 1);
-      } else {
-        covered += node_ranks;
-        out_covered += node_out;
-      }
-      measurement.retries += attempts_retried;
-      retries_total_ += static_cast<std::uint64_t>(attempts_retried);
-      PS_PERF_ADD(perf_retries_,
-                  static_cast<std::uint64_t>(attempts_retried));
-      worst_penalty = std::max(worst_penalty, penalty);
-      if (attempts_retried > 0) {
-        if (obs::TelemetrySink* sink = sub_.engine().telemetry();
-            sink != nullptr) {
-          obs::SampleTimeoutEvent event;
-          event.time = now;
-          event.monitor = node;
-          event.retries = attempts_retried;
-          event.recovered = delivered;
-          sink->on_sample_timeout(event);
-        }
-      }
-    }
-    measurement.coverage =
-        static_cast<double>(covered) / static_cast<double>(set.size());
-    measurement.degraded = covered == 0;
-  }
-
-  measurement.scrout =
-      covered > 0 ? static_cast<double>(out_covered) /
-                        static_cast<double>(covered)
-                  : 0.0;
-  const int depth = std::bit_width(
-      static_cast<unsigned>(std::max(alive_active - 1, 1)));
-  measurement.aggregation_latency =
-      static_cast<sim::Time>(depth) * sub_.network_latency() +
-      worst_penalty + pending_reregistration_;
-  pending_reregistration_ = 0;
-  measurement.levels = depth;
-  measurement.root_fan_in = senders;
-  root_messages_ += sample_messages;
-  PS_PERF_ADD(perf_root_messages_, sample_messages);
-  max_fan_in_ = std::max(max_fan_in_, senders);
-  PS_PERF_OBSERVE(perf_fan_in_, static_cast<std::uint64_t>(senders));
-
-  messages_ += sample_messages;
-  bytes_ += sample_messages * 8;
-  traced_ += static_cast<std::uint64_t>(measurement.ranks_traced);
-  ++samples_;
-  PS_PERF_ADD(perf_messages_, sample_messages);
-  PS_PERF_ADD(perf_samples_, 1);
-  emit_sample_event(measurement, sample_messages, sample_messages * 8);
-  return measurement;
-}
-
-MonitorNetwork::Measurement MonitorNetwork::measure_tree_healthy(
-    const std::vector<simmpi::Rank>& set) {
-  Measurement measurement;
-  // Trace in set order — the same inspector draw order as the star path,
-  // which is what makes tree-vs-star (faults off) a byte-exact oracle.
-  int out = 0;
-  for (const auto rank : set) {
-    if (sub_.trace_out_mpi(rank)) ++out;
-    ++measurement.ranks_traced;
-  }
-  measurement.scrout =
-      static_cast<double>(out) / static_cast<double>(set.size());
-
-  group_set_by_node(set);
-  measurement.active_monitors = static_cast<int>(active_nodes_.size());
-  collect_carriers(/*alive_only=*/false);
-
-  // Every carrier except the root forwards one 8-byte aggregated partial
-  // to its parent — one hop per carrier, fan-in bounded by the topology.
-  const auto hops = static_cast<std::uint64_t>(carriers_.size() - 1);
-  const int root = topology_.root();
-  measurement.root_fan_in = fan_in_[static_cast<std::size_t>(root)];
-  measurement.levels = topology_.level(carriers_.front());
-  measurement.aggregation_latency =
-      tree_gather_latency(measurement.levels, sub_.engine().now());
-
-  messages_ += hops;
-  bytes_ += hops * 8;
-  tree_hops_ += hops;
-  root_messages_ += static_cast<std::uint64_t>(measurement.root_fan_in);
-  PS_PERF_ADD(perf_messages_, hops);
-  PS_PERF_ADD(perf_tree_hops_, hops);
-  PS_PERF_ADD(perf_root_messages_,
-              static_cast<std::uint64_t>(measurement.root_fan_in));
-  traced_ += static_cast<std::uint64_t>(measurement.ranks_traced);
-  ++samples_;
-  PS_PERF_ADD(perf_samples_, 1);
-  emit_sample_event(measurement, hops, hops * 8);
-
-  for (const int c : carriers_) fan_in_[static_cast<std::size_t>(c)] = 0;
-  return measurement;
-}
-
-MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
-    const std::vector<simmpi::Rank>& set) {
-  const sim::Time now = sub_.engine().now();
-  advance_tool_state(now);
-
-  Measurement measurement;
-  measurement.coverage = 0.0;
-  group_set_by_node(set);
-  measurement.active_monitors = static_cast<int>(active_nodes_.size());
-
-  const auto nnodes = static_cast<std::size_t>(sub_.nnodes());
-  if (agg_monitors_.size() != nnodes) {
-    agg_monitors_.assign(nnodes, 0);
-    agg_covered_.assign(nnodes, 0);
-    agg_out_.assign(nnodes, 0);
-    agg_penalty_.assign(nnodes, 0);
-  }
-
-  std::uint64_t sample_messages = 0;
-  int covered = 0;
-  int out_covered = 0;
-  int root_fan_in = 0;
-
-  if (topology_.root() < 0) {
     // Every monitor is dead: nobody traces, nothing is aggregated.
     measurement.partials_missing = measurement.active_monitors;
     measurement.degraded = true;
@@ -577,47 +465,49 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
         sub_.network_latency() + pending_reregistration_;
     pending_reregistration_ = 0;
   } else {
-    // Local tracing first, per active node in ascending order (the
-    // inspector stream is independent of the hop draws below).
-    for (std::size_t slot = 0; slot < active_nodes_.size(); ++slot) {
-      const int node = active_nodes_[slot];
-      if (!monitor_alive(node)) {
+    // Local tracing first, per active node in ascending order (ptrace cost
+    // is charged even when the resulting count is later lost in flight;
+    // the inspector stream is independent of the hop draws below).
+    partials_.assign(plan.carriers.size(), Partial{});
+    for (std::size_t slot = 0; slot < plan.active_nodes.size(); ++slot) {
+      const int carrier = plan.slot_carrier[slot];
+      if (carrier < 0) {
         ++measurement.partials_missing;  // this monitor's partial never comes
         continue;
       }
       int node_out = 0;
-      const int begin = group_offset_[slot];
-      const int end = group_offset_[slot + 1];
+      const int begin = plan.group_offset[slot];
+      const int end = plan.group_offset[slot + 1];
       for (int i = begin; i < end; ++i) {
-        if (sub_.trace_out_mpi(grouped_[static_cast<std::size_t>(i)])) {
+        if (sub_.trace_out_mpi(plan.grouped[static_cast<std::size_t>(i)])) {
           ++node_out;
         }
         ++measurement.ranks_traced;
       }
-      const auto idx = static_cast<std::size_t>(node);
-      agg_monitors_[idx] = 1;
-      agg_covered_[idx] = end - begin;
-      agg_out_[idx] = node_out;
+      Partial& local = partials_[static_cast<std::size_t>(carrier)];
+      local.monitors = 1;
+      local.covered = end - begin;
+      local.out = node_out;
     }
 
-    collect_carriers(/*alive_only=*/true);
-    if (carriers_.empty()) {
-      // Every active monitor is dead (the tool root survives elsewhere):
-      // the sample is blind but the root still waited one round.
+    if (plan.carriers.empty()) {
+      // Every active monitor is dead (the lead survives elsewhere): the
+      // sample is blind but the lead still waited one round.
       measurement.degraded = true;
       measurement.aggregation_latency =
           sub_.network_latency() + pending_reregistration_;
       pending_reregistration_ = 0;
     } else {
-      // Hop the aggregated partials level by level toward the root —
-      // deepest carriers first, ascending node id within a level; one
+      // Hop the partials toward the root in carrier order — for a tree,
+      // deepest carriers first, ascending node id within a level. One
       // loss/retry/delay draw sequence per hop, so a lost hop drops the
-      // WHOLE subtree partial it was carrying.
-      for (const int c : carriers_) {
-        const int parent = topology_.parent(c);
+      // WHOLE subtree partial it was carrying; lost messages are
+      // re-requested after `sample_timeout` with exponential backoff.
+      for (std::size_t c = 0; c < plan.carriers.size(); ++c) {
+        const int parent = plan.carrier_parent[c];
         if (parent < 0) continue;  // the root does not hop
-        const auto cidx = static_cast<std::size_t>(c);
-        const auto pidx = static_cast<std::size_t>(parent);
+        const Partial& child = partials_[c];
+        Partial& up = partials_[static_cast<std::size_t>(parent)];
         ++sample_messages;
         bool delivered = !tool_rng_.bernoulli(plan_->loss_probability);
         int attempts_retried = 0;
@@ -634,19 +524,17 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
               tool_rng_.exponential(static_cast<double>(plan_->delay_mean)));
         }
         if (!delivered) {
-          hop_penalty += plan_->sample_timeout;  // the parent's final wait
-          const auto dropped =
-              static_cast<std::uint64_t>(agg_monitors_[cidx]);
-          measurement.partials_missing += agg_monitors_[cidx];
+          hop_penalty += plan_->sample_timeout;  // the receiver's final wait
+          const auto dropped = static_cast<std::uint64_t>(child.monitors);
+          measurement.partials_missing += child.monitors;
           lost_ += dropped;
           PS_PERF_ADD(perf_lost_, dropped);
         } else {
-          agg_monitors_[pidx] += agg_monitors_[cidx];
-          agg_covered_[pidx] += agg_covered_[cidx];
-          agg_out_[pidx] += agg_out_[cidx];
+          up.monitors += child.monitors;
+          up.covered += child.covered;
+          up.out += child.out;
         }
-        agg_penalty_[pidx] =
-            std::max(agg_penalty_[pidx], agg_penalty_[cidx] + hop_penalty);
+        up.penalty = std::max(up.penalty, child.penalty + hop_penalty);
         measurement.retries += attempts_retried;
         retries_total_ += static_cast<std::uint64_t>(attempts_retried);
         PS_PERF_ADD(perf_retries_,
@@ -656,7 +544,7 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
               sink != nullptr) {
             obs::SampleTimeoutEvent event;
             event.time = now;
-            event.monitor = c;
+            event.monitor = plan.carriers[c];
             event.retries = attempts_retried;
             event.recovered = delivered;
             sink->on_sample_timeout(event);
@@ -664,28 +552,17 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
         }
       }
 
-      const int root = topology_.root();
-      const auto ridx = static_cast<std::size_t>(root);
-      covered = agg_covered_[ridx];
-      out_covered = agg_out_[ridx];
-      root_fan_in = fan_in_[ridx];
+      const Partial& root = partials_.back();
+      covered = root.covered;
+      out_covered = root.out;
       measurement.coverage =
           static_cast<double>(covered) / static_cast<double>(set.size());
       measurement.degraded = covered == 0;
-      measurement.levels = topology_.level(carriers_.front());
-      measurement.root_fan_in = root_fan_in;
+      measurement.root_fan_in = plan.carrier_fan_in.back();
+      charge_level_gathers(plan, now);
       measurement.aggregation_latency =
-          tree_gather_latency(measurement.levels, now) + agg_penalty_[ridx] +
-          pending_reregistration_;
+          plan.gather_latency + root.penalty + pending_reregistration_;
       pending_reregistration_ = 0;
-    }
-    for (const int c : carriers_) {
-      const auto idx = static_cast<std::size_t>(c);
-      fan_in_[idx] = 0;
-      agg_monitors_[idx] = 0;
-      agg_covered_[idx] = 0;
-      agg_out_[idx] = 0;
-      agg_penalty_[idx] = 0;
     }
   }
 
@@ -693,16 +570,23 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
       covered > 0 ? static_cast<double>(out_covered) /
                         static_cast<double>(covered)
                   : 0.0;
+  // The star's lead hears every message itself; a tree's root hears only
+  // its children's hops.
+  const auto root_heard =
+      topology_.built() ? static_cast<std::uint64_t>(measurement.root_fan_in)
+                        : sample_messages;
+  if (topology_.built()) {
+    tree_hops_ += sample_messages;
+    PS_PERF_ADD(perf_tree_hops_, sample_messages);
+  }
+  root_messages_ += root_heard;
+  max_fan_in_ = std::max(max_fan_in_, measurement.root_fan_in);
   messages_ += sample_messages;
   bytes_ += sample_messages * 8;
-  tree_hops_ += sample_messages;
-  root_messages_ += static_cast<std::uint64_t>(root_fan_in);
-  max_fan_in_ = std::max(max_fan_in_, root_fan_in);
   traced_ += static_cast<std::uint64_t>(measurement.ranks_traced);
   ++samples_;
   PS_PERF_ADD(perf_messages_, sample_messages);
-  PS_PERF_ADD(perf_tree_hops_, sample_messages);
-  PS_PERF_ADD(perf_root_messages_, static_cast<std::uint64_t>(root_fan_in));
+  PS_PERF_ADD(perf_root_messages_, root_heard);
   PS_PERF_ADD(perf_samples_, 1);
   emit_sample_event(measurement, sample_messages, sample_messages * 8);
   return measurement;

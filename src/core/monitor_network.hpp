@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -98,9 +99,8 @@ class MonitorNetwork {
   bool tool_faults_active() const noexcept { return plan_.has_value(); }
 
   int monitor_count() const noexcept { return sub_.nnodes(); }
-  /// Monitors that would be active for `set` (distinct hosting nodes),
-  /// counted with the pooled node mark (no sort, no allocation once the
-  /// scratch is warm).
+  /// Monitors that would be active for `set` (distinct hosting nodes), read
+  /// from the set's sample plan.
   int active_monitors_for(const std::vector<simmpi::Rank>& set);
   /// Current aggregation root (star: lowest surviving monitor id; tree:
   /// the topology root; -1 = none left). Without a fault plan the lead is
@@ -141,10 +141,65 @@ class MonitorNetwork {
   std::uint64_t retransmissions() const noexcept { return retries_total_; }
 
  private:
+  /// Everything a sample needs that follows from the set's contents, the
+  /// tree's shape and which monitors are alive — and from nothing else.
+  /// ParaStack draws its monitor sets once (§3.3), so a plan is built the
+  /// first time a set is measured and reused until a monitor crash changes
+  /// the shape.
+  struct SamplePlan {
+    std::vector<simmpi::Rank> set;  ///< the key: the set's contents
+    std::uint64_t shape_epoch = 0;  ///< shape_epoch_ the plan was built in
+    std::uint64_t last_used = 0;    ///< plan_clock_ at its latest lookup
+    /// The set grouped by hosting node (CSR): active_nodes ascending,
+    /// grouped holding the ranks node by node (set order within a node),
+    /// group_offset[slot] the start of that node's slice.
+    std::vector<int> active_nodes;
+    std::vector<int> group_offset;
+    std::vector<simmpi::Rank> grouped;
+    /// Carrier index of each slot's monitor (-1: the monitor is dead).
+    std::vector<int> slot_carrier;
+    /// The monitors a sample's partial counts pass through, in hop order
+    /// with the root last. Tree: the live active monitors and their
+    /// ancestors in the topology's gather order. Star: the live non-lead
+    /// active monitors ascending, then the lead.
+    std::vector<int> carriers;
+    std::vector<int> carrier_parent;  ///< parent's carrier index (-1: root)
+    std::vector<int> carrier_fan_in;  ///< partials each carrier receives
+    /// Aggregation rounds and their latency before any fault penalty.
+    int levels = 0;
+    sim::Time gather_latency = 0;
+    /// Tree only: one gather per receiving level, deepest first. Empty for
+    /// the star and for a sample that never leaves the root's node.
+    struct LevelGather {
+      int level = 0;  ///< receiving level + 1, as journaled
+      int senders = 0;
+      int max_fan_in = 0;
+      sim::Time latency = 0;
+    };
+    std::vector<LevelGather> level_gathers;
+    int widest_fan_in = 0;            ///< largest carrier fan-in
+    std::uint64_t deadline_hits = 0;  ///< level gathers the deadline capped
+  };
+  /// One carrier's aggregate during a faulty sample.
+  struct Partial {
+    int monitors = 0;       ///< partial counts folded in
+    int covered = 0;        ///< ranks counted
+    int out = 0;            ///< of which OUT_MPI
+    sim::Time penalty = 0;  ///< longest fault wait on the way here
+  };
+  /// Room for the two sets of four detectors sharing one network.
+  static constexpr std::size_t kMaxPlans = 8;
+
   Measurement measure_healthy(const std::vector<simmpi::Rank>& set);
   Measurement measure_under_faults(const std::vector<simmpi::Rank>& set);
-  Measurement measure_tree_healthy(const std::vector<simmpi::Rank>& set);
-  Measurement measure_tree_under_faults(const std::vector<simmpi::Rank>& set);
+  /// The plan for `set` under the current shape: a cached one with equal
+  /// contents, rebuilt if the shape changed since, or a new one replacing
+  /// the least recently used.
+  const SamplePlan& plan_for(const std::vector<simmpi::Rank>& set);
+  void build_plan(SamplePlan& plan);
+  /// Tree gathers: count deadline hits and the fan-in high-water mark and
+  /// emit one MonitorLevelEvent per level of `plan`.
+  void charge_level_gathers(const SamplePlan& plan, sim::Time now);
   /// Apply every scheduled crash whose instant has passed; maintains the
   /// root and emits crash/failover telemetry.
   void advance_tool_state(sim::Time now);
@@ -153,19 +208,6 @@ class MonitorNetwork {
                          std::uint64_t bytes);
   void init_perf();
   void init_tree_perf();
-  /// Group `set` by hosting node into the pooled CSR scratch:
-  /// active_nodes_ ascending, grouped_ holding the ranks node by node
-  /// (set order within a node), group_offset_[i] the start of node i's
-  /// slice. Replaces the per-sample vector-of-vectors.
-  void group_set_by_node(const std::vector<simmpi::Rank>& set);
-  /// Collect the carriers (active nodes plus their ancestors) for the
-  /// current grouping into carriers_, in the topology's gather order
-  /// (deepest level first, ascending node id within a level); fills
-  /// fan_in_ for every carrier.
-  void collect_carriers(bool alive_only);
-  /// Sum of per-level binomial gathers over the carrier fan-ins; also
-  /// updates the fan-in high-water marks and emits MonitorLevelEvents.
-  sim::Time tree_gather_latency(int levels, sim::Time now);
 
   std::optional<WorldSubstrate> owned_;  ///< backs sub_ for the World ctor
   MonitorSubstrate& sub_;
@@ -197,22 +239,12 @@ class MonitorNetwork {
   std::uint64_t lost_ = 0;
   std::uint64_t retries_total_ = 0;
 
-  // Pooled per-sample scratch (SoA: flat arrays indexed by node, a bitset
-  // mark, and one CSR payload — no per-sample heap churn, bits per rank).
-  util::DynamicBitset node_mark_;
-  util::DynamicBitset carrier_mark_;      ///< carriers by gather rank
-  std::vector<int> node_count_;           ///< per-node rank count / cursor
-  std::vector<int> active_nodes_;         ///< sorted distinct hosting nodes
-  std::vector<int> group_offset_;         ///< CSR offsets (active_nodes_+1)
-  std::vector<simmpi::Rank> grouped_;     ///< set ranks grouped by node
-  std::vector<int> carriers_;             ///< tree carriers, gather order
-  std::vector<int> fan_in_;               ///< per-node fan-in this sample
-  std::vector<int> agg_monitors_;         ///< partials aggregated per node
-  std::vector<int> agg_covered_;          ///< covered ranks per node
-  std::vector<int> agg_out_;              ///< OUT_MPI ranks per node
-  std::vector<sim::Time> agg_penalty_;    ///< accumulated wait per node
-  std::vector<int> level_max_fan_in_;     ///< per-level gather width
-  std::vector<int> level_senders_;        ///< carriers forwarding per level
+  // Sample plans, and the epoch that every change of shape or liveness
+  // advances (set_topology, set_tool_faults, each monitor crash).
+  std::vector<SamplePlan> plans_;
+  std::uint64_t plan_clock_ = 0;
+  std::uint64_t shape_epoch_ = 0;
+  std::vector<Partial> partials_;  ///< per carrier, reused every sample
 
   // Perf mirrors of the counters above, resolved once from the engine's
   // ProfileRegistry (all null when perf accounting is off).

@@ -149,6 +149,11 @@ void FaultInjector::arm(simmpi::World& world) {
     case FaultType::kComputeHang:
     case FaultType::kCommDeadlock:
       return;  // program-driven (or nothing); clock binding is enough
+    case FaultType::kMonitorCrash:
+    case FaultType::kLeadCrash:
+      // Tool-side faults: MonitorNetwork applies them from its
+      // ToolFaultPlan; the application world has nothing to arm.
+      return;
     case FaultType::kTransientSlowdown: {
       PS_CHECK(plan_.victim >= 0, "slowdown needs a victim rank");
       auto record = record_;

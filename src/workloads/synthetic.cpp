@@ -106,7 +106,6 @@ void SyntheticProgram::enqueue_phase(const Phase& phase) {
     return;
 
   const std::size_t bytes = scaled_bytes(phase);
-  const int tag = static_cast<int>(&phase - profile_->phases.data()) + 100;
   const simmpi::Rank root =
       phase.rotate_root
           ? static_cast<simmpi::Rank>(iter_ % static_cast<std::uint64_t>(nranks_))

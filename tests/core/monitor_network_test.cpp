@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "core/detector.hpp"
 #include "faults/injector.hpp"
+#include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace parastack::core {
@@ -304,6 +310,142 @@ TEST(MonitorNetworkFaults, LossSequenceIsAPureFunctionOfThePlanSeed) {
   EXPECT_EQ(coverages[0], coverages[1]);
   EXPECT_EQ(messages[0], messages[1]);
   EXPECT_GT(messages[0], 3u * 20u);  // some loss actually happened
+}
+
+// --- Sample plans ----------------------------------------------------------
+
+/// A 1024-rank machine that is only arithmetic: 16 ranks per node, a
+/// rank's MPI state a hash of rank and sample epoch. Every network over it
+/// observes the same stream, whatever it sampled before.
+class GridSubstrate final : public MonitorSubstrate {
+ public:
+  int nranks() const override { return 1024; }
+  int nnodes() const override { return 64; }
+  int node_of(simmpi::Rank rank) const override {
+    return static_cast<int>(rank) / 16;
+  }
+  sim::Engine& engine() override { return engine_; }
+  sim::Time network_latency() const override { return 5 * sim::kMicrosecond; }
+  bool trace_out_mpi(simmpi::Rank rank) override {
+    std::uint64_t state = (static_cast<std::uint64_t>(rank) << 24) ^ epoch_;
+    return util::splitmix64(state) < UINT64_C(0x4CCCCCCCCCCCCCCC);  // 0.3
+  }
+  void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
+
+ private:
+  std::uint64_t epoch_ = 0;
+  sim::Engine engine_;
+};
+
+void arm_tree(MonitorNetwork& network) {
+  TopologyConfig config;
+  config.fanout = 3;
+  config.seed = 0x51;
+  // Tight enough that the wider levels hit it.
+  config.level_deadline = 8 * sim::kMicrosecond;
+  network.set_topology(config);
+}
+
+void expect_same(const MonitorNetwork::Measurement& a,
+                 const MonitorNetwork::Measurement& b) {
+  EXPECT_EQ(a.scrout, b.scrout);
+  EXPECT_EQ(a.ranks_traced, b.ranks_traced);
+  EXPECT_EQ(a.active_monitors, b.active_monitors);
+  EXPECT_EQ(a.aggregation_latency, b.aggregation_latency);
+  EXPECT_EQ(a.levels, b.levels);
+  EXPECT_EQ(a.root_fan_in, b.root_fan_in);
+  EXPECT_EQ(a.partials_missing, b.partials_missing);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.coverage, b.coverage);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+TEST(MonitorNetworkPlans, RefilledVectorMeasuresLikeAFreshNetwork) {
+  // A sample's structure follows the set's contents, not where the set
+  // lives: one vector refilled in place with ranks on other nodes must
+  // measure exactly like a network that never saw the first contents.
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "star");
+    GridSubstrate substrate;
+    MonitorNetwork reused(substrate);
+    MonitorNetwork fresh(substrate);
+    if (tree) {
+      arm_tree(reused);
+      arm_tree(fresh);
+    }
+    std::vector<simmpi::Rank> set = {0, 1, 17, 300, 301, 640};
+    (void)reused.measure(set);
+    const std::uint64_t first_messages = reused.messages_sent();
+    const simmpi::Rank* storage = set.data();
+    set.assign({48, 500, 501, 777, 900, 1023});
+    ASSERT_EQ(set.data(), storage);  // same buffer, same size
+
+    expect_same(reused.measure(set), fresh.measure(set));
+    EXPECT_EQ(reused.messages_sent() - first_messages, fresh.messages_sent());
+    EXPECT_EQ(reused.active_monitors_for(set), 5);
+    // Single elements rewritten in place: one rank moves within node 62,
+    // then one leaves the doubly used node 31 for node 0.
+    set[5] = 1000;
+    EXPECT_EQ(reused.active_monitors_for(set), 5);
+    set[1] = 2;
+    EXPECT_EQ(reused.active_monitors_for(set), 6);
+    MonitorNetwork third(substrate);
+    if (tree) arm_tree(third);
+    expect_same(reused.measure(set), third.measure(set));
+  }
+}
+
+TEST(MonitorNetworkPlans, RotatedSetsMatchSingleSetNetworks) {
+  // The runner shares one network across every ParaStack detector of a
+  // bank, so more sets than one detector's two take turns on it. Each
+  // sample must equal that of a network that only ever measures its set,
+  // and the shared totals must be the sums of theirs.
+  const std::vector<simmpi::Rank> sets[3] = {
+      {0, 16, 32, 48, 64, 500, 1020},
+      {5, 6, 7, 400, 401, 402, 403, 900},
+      {17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 700, 710, 720}};
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "star");
+    GridSubstrate substrate;
+    MonitorNetwork shared(substrate);
+    std::vector<std::unique_ptr<MonitorNetwork>> single;
+    for (int i = 0; i < 3; ++i) {
+      single.push_back(std::make_unique<MonitorNetwork>(substrate));
+    }
+    if (tree) {
+      arm_tree(shared);
+      for (auto& network : single) arm_tree(*network);
+    }
+    for (int round = 0; round < 6; ++round) {
+      substrate.set_epoch(static_cast<std::uint64_t>(round));
+      for (int i = 0; i < 3; ++i) {
+        expect_same(shared.measure(sets[i]), single[i]->measure(sets[i]));
+      }
+    }
+    std::uint64_t messages = 0;
+    std::uint64_t root_messages = 0;
+    std::uint64_t hops = 0;
+    std::uint64_t traced = 0;
+    std::uint64_t deadline_hits = 0;
+    int fan_in = 0;
+    for (const auto& network : single) {
+      messages += network->messages_sent();
+      root_messages += network->root_messages();
+      hops += network->tree_hops();
+      traced += network->ranks_traced_total();
+      deadline_hits += network->level_deadline_hits();
+      fan_in = std::max(fan_in, network->max_fan_in());
+    }
+    EXPECT_EQ(shared.messages_sent(), messages);
+    EXPECT_EQ(shared.root_messages(), root_messages);
+    EXPECT_EQ(shared.tree_hops(), hops);
+    EXPECT_EQ(shared.ranks_traced_total(), traced);
+    EXPECT_EQ(shared.level_deadline_hits(), deadline_hits);
+    EXPECT_EQ(shared.max_fan_in(), fan_in);
+    if (tree) {
+      EXPECT_GT(deadline_hits, 0u);
+    }
+  }
 }
 
 TEST(MonitorNetworkFaultsDeath, ArmingAfterSamplingRejected) {

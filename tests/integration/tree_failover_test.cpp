@@ -306,6 +306,101 @@ TEST(TreeFailover, LossyCrashRunKeepsItsDrawOrder) {
   EXPECT_EQ(digest, UINT64_C(0xB62BCE2EA625D58C)) << std::hex << digest;
 }
 
+/// Two fixed sets of 48 ranks, sampled alternately. Both hold ranks on the
+/// lead's node 0 (ranks 3 and 7) and on node 5 (ranks 80 and 81).
+std::vector<simmpi::Rank> alternating_set(int which) {
+  util::Rng pick(which == 0 ? 0xA11CE : 0xB0B);
+  std::vector<simmpi::Rank> set = {which == 0 ? 3 : 7, which == 0 ? 80 : 81};
+  while (set.size() < 48) {
+    set.push_back(static_cast<simmpi::Rank>(pick.uniform_int(4096)));
+  }
+  return set;
+}
+
+/// 200 one-second samples alternating between the two sets, digesting
+/// every measurement and the network's totals. Crashes are scheduled at
+/// half-second instants, so each lands between two samples of the same
+/// set and the set's next sample must see the new shape.
+std::uint64_t alternating_lossy_run(core::MonitorNetwork& network,
+                                    PinSubstrate& substrate) {
+  const std::vector<simmpi::Rank> sets[2] = {alternating_set(0),
+                                             alternating_set(1)};
+  std::uint64_t digest = UINT64_C(0xCBF29CE484222325);
+  for (int sample = 0; sample < 200; ++sample) {
+    substrate.engine().run_until(static_cast<sim::Time>(sample + 1) *
+                                 sim::kSecond);
+    substrate.set_epoch(static_cast<std::uint64_t>(sample));
+    const auto m = network.measure(sets[sample % 2]);
+    mix(digest, std::bit_cast<std::uint64_t>(m.scrout));
+    mix(digest, std::bit_cast<std::uint64_t>(m.coverage));
+    mix(digest, static_cast<std::uint64_t>(m.retries));
+    mix(digest, static_cast<std::uint64_t>(m.partials_missing));
+    mix(digest, static_cast<std::uint64_t>(m.aggregation_latency));
+    mix(digest, static_cast<std::uint64_t>(m.ranks_traced));
+    mix(digest, static_cast<std::uint64_t>(m.levels));
+    mix(digest, static_cast<std::uint64_t>(m.root_fan_in));
+  }
+  mix(digest, network.messages_sent());
+  mix(digest, network.root_messages());
+  mix(digest, network.tree_hops());
+  mix(digest, network.retransmissions());
+  mix(digest, network.partials_lost());
+  mix(digest, static_cast<std::uint64_t>(network.max_fan_in()));
+  return digest;
+}
+
+faults::ToolFaultPlan alternating_plan(int interior) {
+  faults::ToolFaultPlan plan;
+  plan.loss_probability = 0.1;
+  plan.delay_mean = sim::from_millis(2);
+  plan.reregistration_latency = sim::from_millis(250);
+  plan.monitor_crashes.push_back(
+      {.monitor = interior, .at = 60 * sim::kSecond + sim::kSecond / 2});
+  plan.monitor_crashes.push_back(
+      {.monitor = -1, .at = 90 * sim::kSecond + sim::kSecond / 2});
+  plan.lead_crash_at = 130 * sim::kSecond + sim::kSecond / 2;
+  plan.seed = 0xA17E;
+  return plan;
+}
+
+TEST(TreeFailover, StarLossyCrashRunWithAlternatingSets) {
+  // The star counterpart of the draw-order pin, with the set fixed between
+  // crashes as the detector's two monitor sets are: node 5 dies between
+  // two samples of each set, a random victim later, then the lead. The
+  // constant was recorded with the per-sample grouping that the cached
+  // sample plans replaced.
+  PinSubstrate substrate;
+  core::MonitorNetwork network(substrate);
+  network.set_tool_faults(alternating_plan(5));
+  const std::uint64_t digest = alternating_lossy_run(network, substrate);
+  EXPECT_EQ(network.monitor_crashes(), 3u);
+  EXPECT_EQ(network.lead_failovers(), 1u);
+  EXPECT_GT(network.partials_lost(), 0u);
+  EXPECT_EQ(digest, UINT64_C(0x1DC0DFD2FD4B12D4)) << std::hex << digest;
+}
+
+TEST(TreeFailover, TreeLossyCrashRunWithAlternatingSets) {
+  // The same alternating run over a 4-ary tree: an interior monitor dies
+  // between two samples of each set and re-parents its subtree, then the
+  // root fails over.
+  PinSubstrate substrate;
+  core::MonitorNetwork network(substrate);
+  core::TopologyConfig topology;
+  topology.fanout = 4;
+  topology.seed = 0x5EED;
+  network.set_topology(topology);
+  const core::MonitorTopology* tree = network.topology();
+  ASSERT_NE(tree, nullptr);
+  const int interior = tree->children(tree->root()).front();
+  network.set_tool_faults(alternating_plan(interior));
+  const std::uint64_t digest = alternating_lossy_run(network, substrate);
+  EXPECT_EQ(network.monitor_crashes(), 3u);
+  EXPECT_GE(network.subtree_failovers(), 1u);
+  EXPECT_EQ(network.lead_failovers(), 1u);
+  EXPECT_GT(network.partials_lost(), 0u);
+  EXPECT_EQ(digest, UINT64_C(0x8D3F5425C9FF8116)) << std::hex << digest;
+}
+
 // --- End-to-end through run_one() ------------------------------------------
 
 harness::RunConfig hang_config(std::uint64_t seed) {
