@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <type_traits>
 #include <utility>
@@ -44,10 +43,6 @@ namespace parastack::sim {
 /// per event.
 class Engine {
  public:
-  /// Compatibility alias: callers may still build/store std::functions and
-  /// hand them in, but any callable shaped `void()` schedules directly —
-  /// small lambdas land inline in a pool slot with no allocation at all.
-  using Callback = std::function<void()>;
   using EventId = std::uint64_t;
 
   ~Engine() { flush_perf(); }
